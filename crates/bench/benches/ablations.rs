@@ -15,11 +15,25 @@
 
 use fbd_bench::*;
 use fbd_core::experiment::ExperimentConfig;
+use fbd_core::RunSpec;
 use fbd_types::config::{Interleaving, MemoryTech, PagePolicy, Replacement, SystemConfig};
 
 fn run_pair(
     title: &str,
     configs: Vec<(String, SystemConfig)>,
+    exp: &ExperimentConfig,
+    refs: &std::collections::HashMap<String, f64>,
+) {
+    let specs = configs
+        .into_iter()
+        .map(|(label, cfg)| (label, RunSpec::new(cfg)))
+        .collect();
+    run_specs(title, specs, exp, refs);
+}
+
+fn run_specs(
+    title: &str,
+    configs: Vec<(String, RunSpec)>,
     exp: &ExperimentConfig,
     refs: &std::collections::HashMap<String, f64>,
 ) {
@@ -30,14 +44,14 @@ fn run_pair(
         h
     }];
     let mut table: Vec<Vec<String>> = configs.iter().map(|(l, _)| vec![l.clone()]).collect();
-    let grouped = run_grouped(
+    let grouped = run_grouped_specs(
         |cores| {
             configs
                 .iter()
-                .map(|(l, c)| {
-                    let mut c = *c;
-                    c.cpu.cores = cores;
-                    (l.clone(), c)
+                .map(|(l, spec)| {
+                    let mut spec = spec.clone();
+                    spec.system_mut().cpu.cores = cores;
+                    (l.clone(), spec)
                 })
                 .collect()
         },
@@ -102,12 +116,12 @@ fn main() {
 
     // 3. Hit-first vs FCFS scheduling (on plain FB-DIMM). Both
     //    policies are registry entries, selected by name.
-    let fcfs = with_scheduler(system(Variant::Fbd, 1), "fcfs");
-    run_pair(
+    let fbd = RunSpec::new(system(Variant::Fbd, 1));
+    run_specs(
         "Controller scheduling: hit-first (paper) vs FCFS",
         vec![
-            ("hit-first".into(), system(Variant::Fbd, 1)),
-            ("FCFS".into(), fcfs),
+            ("hit-first".into(), fbd.clone()),
+            ("FCFS".into(), fbd.scheduler("fcfs")),
         ],
         &exp,
         &refs,

@@ -21,8 +21,7 @@ use fbd_core::experiment::{default_budget, reference_ipcs, smt_speedup, Experime
 pub use fbd_core::parallel_map;
 use fbd_core::{RunResult, RunSpec};
 use fbd_types::config::{
-    AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SchedPolicy,
-    SystemConfig,
+    AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SystemConfig,
 };
 use fbd_types::time::DataRate;
 use fbd_workloads::{paper_workloads, Workload, PROFILES};
@@ -74,28 +73,6 @@ pub fn system(variant: Variant, cores: u32) -> SystemConfig {
             m.amb.mode = AmbPrefetchMode::FullLatency;
             m
         }
-    };
-    cfg
-}
-
-/// Selects a scheduling policy on a bench config by its registry name
-/// (validated against [`fbd_ctrl::schedulers`]), so benches pick
-/// policies the same way the CLI's `--scheduler` flag does.
-///
-/// # Panics
-///
-/// Panics on a name the scheduler registry does not know.
-pub fn with_scheduler(mut cfg: SystemConfig, name: &str) -> SystemConfig {
-    assert!(
-        fbd_ctrl::schedulers().get(name).is_some(),
-        "unknown scheduler `{name}` (available: {})",
-        fbd_ctrl::schedulers().available()
-    );
-    // The config enum is the carrier the grouped runners serialize; it
-    // mirrors the registry entry of the same name.
-    cfg.mem.sched_policy = match name {
-        "fcfs" => SchedPolicy::Fcfs,
-        _ => SchedPolicy::HitFirst,
     };
     cfg
 }
@@ -196,21 +173,36 @@ pub fn run_grouped(
     configs_for: impl Fn(u32) -> Vec<(String, SystemConfig)>,
     exp: &ExperimentConfig,
 ) -> Vec<GroupResults> {
+    run_grouped_specs(
+        |cores| {
+            configs_for(cores)
+                .into_iter()
+                .map(|(label, cfg)| (label, RunSpec::new(cfg)))
+                .collect()
+        },
+        exp,
+    )
+}
+
+/// [`run_grouped`] over prepared run specs, for rows that select a
+/// registry policy by name (e.g. [`RunSpec::scheduler`]). Each spec
+/// runs every workload of its group under `exp`.
+pub fn run_grouped_specs(
+    specs_for: impl Fn(u32) -> Vec<(String, RunSpec)>,
+    exp: &ExperimentConfig,
+) -> Vec<GroupResults> {
     let groups = workload_groups();
-    let mut jobs: Vec<(usize, String, SystemConfig, Workload)> = Vec::new();
+    let mut jobs: Vec<(usize, String, RunSpec, Workload)> = Vec::new();
     for (gi, (_, workloads)) in groups.iter().enumerate() {
         let cores = workloads[0].cores();
-        for (label, cfg) in configs_for(cores) {
+        for (label, spec) in specs_for(cores) {
             for w in workloads {
-                jobs.push((gi, label.clone(), cfg, w.clone()));
+                jobs.push((gi, label.clone(), spec.clone(), w.clone()));
             }
         }
     }
-    let results = parallel_map(&jobs, |(_, _, cfg, w)| {
-        RunSpec::new(*cfg)
-            .with_workload(w.clone())
-            .experiment(*exp)
-            .run()
+    let results = parallel_map(&jobs, |(_, _, spec, w)| {
+        spec.clone().with_workload(w.clone()).experiment(*exp).run()
     });
     let mut out: Vec<GroupResults> = groups
         .into_iter()

@@ -7,14 +7,14 @@
 //! fbdsim list-schedulers
 //! fbdsim run     --workload 4C-1 --substrate fbd-ap [--scheduler fcfs] [--budget N] [--seed N]
 //!                [--csv] [--json] [--stats-json stats.json] [--trace-out trace.json]
-//! fbdsim profile --workload 1C-swim [--system fbd-ap] [--folded-out folded.txt]
+//! fbdsim profile --workload 1C-swim [--substrate fbd-ap] [--folded-out folded.txt]
 //! fbdsim compare --workload 1C-swim [--substrate a,b,c] [--budget N] [--csv] [--fidelity auto]
 //! fbdsim sweep   --workload 1C-mgrid --knob {k|entries|assoc|channels|rate|grid} [--csv]
 //! ```
 //!
 //! Substrates come from the `fbd_types::substrate::substrates()`
 //! registry (`fbdsim list-substrates` prints them); `--system` is an
-//! exact alias of `--substrate` on `run` for backward compatibility.
+//! exact alias of `--substrate` on every subcommand that selects one.
 //! Workloads: the paper's Table 3 mixes (`2C-1` … `8C-3`) and the
 //! single-program workloads (`1C-<benchmark>`).
 
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use fbd_core::experiment::{default_budget, ExperimentConfig};
 use fbd_core::{calibrate, parallel_map, pareto_frontier, Calibration, Composition, Fidelity};
 use fbd_core::{RunResult, RunSpec};
-use fbd_ctrl::{schedulers, scrub_policies};
+use fbd_ctrl::schedulers;
 use fbd_telemetry::host::{Counter, HostProfiler, PHASES};
 use fbd_telemetry::live::{bar, fmt_duration, si, sparkline};
 use fbd_telemetry::{Json, LogHistogram, SampleObserver, TelemetryConfig};
@@ -44,18 +44,19 @@ fn usage_text() -> String {
      fbdsim run --workload <name> --substrate <name> [--scheduler <name>] \
      [--budget N] [--seed N]\n             [--csv] [--json] [--timeline] [--live] \
      [--stats-json <file>] [--trace-out <file>] [--sample-interval <cycles>]\n  \
-     fbdsim profile --workload <name> [--system <name>] [--budget N] [--seed N] [--json]\n             \
+     fbdsim profile --workload <name> [--substrate <name>] [--budget N] [--seed N] [--json]\n             \
      [--folded-out <file>] [--stats-json <file>]\n  \
      fbdsim compare --workload <name> [--substrate <a,b,c>] [--scheduler <name>] [--budget N] \
      [--seed N] [--csv] [--json] [--live] [--stats-json <file>]\n  \
      fbdsim sweep --workload <name> --knob <k|entries|assoc|channels|rate|grid> \
      [--substrate <name>] [--scheduler <name>]\n             [--budget N] [--seed N] \
      [--csv] [--json] [--live] [--stats-json <file>]\n  \
-     fbdsim record --workload <name> --system <name> --out <trace.csv> [--budget N] [--seed N]\n  \
-     fbdsim replay --trace <trace.csv> --system <name>\n\n\
+     fbdsim record --workload <name> --substrate <name> --out <trace.csv> [--budget N] \
+     [--seed N]\n  \
+     fbdsim replay --trace <trace.csv> --substrate <name>\n\n\
      substrate options:\n  \
      --substrate <name>         registered memory substrate (see `fbdsim list-substrates`);\n                             \
-     on run, --system is an exact alias; on compare, a\n                             \
+     --system is an exact alias; on compare, a\n                             \
      comma-separated list replaces the default paper grid\n  \
      --scheduler <name>         registered scheduling policy (see `fbdsim list-schedulers`;\n                             \
      default hit-first)\n\n\
@@ -99,109 +100,66 @@ fn usage_text() -> String {
         .to_string()
 }
 
-/// Value-taking and boolean options accepted by each subcommand.
-const RUN_KEYS: &[&str] = &[
-    "workload",
-    "system",
-    "substrate",
-    "scheduler",
-    "budget",
-    "seed",
-    "stats-json",
-    "trace-out",
-    "sample-interval",
-    "fault-ber",
-    "fault-seed",
-    "fault-mode",
-    "crc-bits",
-    "scrub",
-    "scrub-interval-ns",
-    "failback",
-    "reissue",
-    "fidelity",
+/// Subcommands that simulate a workload.
+const SIMULATE: &[&str] = &["run", "profile", "compare", "sweep", "record"];
+/// Subcommands that emit a stats document and take fault options.
+const STATS: &[&str] = &["run", "profile", "compare", "sweep"];
+/// Subcommands that pick a scheduler and fidelity.
+const POLICY: &[&str] = &["run", "compare", "sweep"];
+/// Subcommands that select a system.
+const SYSTEM: &[&str] = &["run", "profile", "compare", "sweep", "record", "replay"];
+
+/// Every option: its name, whether it takes a value, and the
+/// subcommands that accept it.
+const OPTIONS: &[(&str, bool, &[&str])] = &[
+    ("workload", true, SIMULATE),
+    ("substrate", true, SYSTEM),
+    ("system", true, SYSTEM),
+    ("scheduler", true, POLICY),
+    ("knob", true, &["sweep"]),
+    ("budget", true, SIMULATE),
+    ("seed", true, SIMULATE),
+    ("stats-json", true, STATS),
+    ("trace-out", true, &["run"]),
+    ("sample-interval", true, &["run"]),
+    ("folded-out", true, &["profile"]),
+    ("out", true, &["record"]),
+    ("trace", true, &["replay"]),
+    ("fault-ber", true, STATS),
+    ("fault-seed", true, STATS),
+    ("fault-mode", true, STATS),
+    ("crc-bits", true, STATS),
+    ("scrub", true, STATS),
+    ("scrub-interval-ns", true, STATS),
+    ("failback", true, STATS),
+    ("reissue", true, STATS),
+    ("fidelity", true, POLICY),
+    ("csv", false, POLICY),
+    ("json", false, STATS),
+    ("timeline", false, &["run"]),
+    ("live", false, POLICY),
 ];
-const RUN_FLAGS: &[&str] = &["csv", "json", "timeline", "live"];
-const PROFILE_KEYS: &[&str] = &[
-    "workload",
-    "system",
-    "budget",
-    "seed",
-    "folded-out",
-    "stats-json",
-    "fault-ber",
-    "fault-seed",
-    "fault-mode",
-    "crc-bits",
-    "scrub",
-    "scrub-interval-ns",
-    "failback",
-    "reissue",
-];
-const PROFILE_FLAGS: &[&str] = &["json"];
-const COMPARE_KEYS: &[&str] = &[
-    "workload",
-    "substrate",
-    "scheduler",
-    "budget",
-    "seed",
-    "stats-json",
-    "fault-ber",
-    "fault-seed",
-    "fault-mode",
-    "crc-bits",
-    "scrub",
-    "scrub-interval-ns",
-    "failback",
-    "reissue",
-    "fidelity",
-];
-const COMPARE_FLAGS: &[&str] = &["csv", "json", "live"];
-const SWEEP_KEYS: &[&str] = &[
-    "workload",
-    "knob",
-    "substrate",
-    "scheduler",
-    "budget",
-    "seed",
-    "stats-json",
-    "fault-ber",
-    "fault-seed",
-    "fault-mode",
-    "crc-bits",
-    "scrub",
-    "scrub-interval-ns",
-    "failback",
-    "reissue",
-    "fidelity",
-];
-const SWEEP_FLAGS: &[&str] = &["csv", "json", "live"];
-const RECORD_KEYS: &[&str] = &["workload", "system", "out", "budget", "seed"];
-const RECORD_FLAGS: &[&str] = &[];
-const REPLAY_KEYS: &[&str] = &["trace", "system"];
-const REPLAY_FLAGS: &[&str] = &[];
 
 /// Rejects options a subcommand does not understand (usage error 2,
 /// like every other argument mistake), so a typo never silently runs
 /// with defaults. Value-taking options missing their value and boolean
 /// flags given a value are reported specifically.
-fn validate_args(cmd: &str, args: &Args, keys: &[&str], flags: &[&str]) -> Result<(), ExitCode> {
-    for (k, _) in &args.pairs {
-        if flags.contains(&k.as_str()) {
-            eprintln!("--{k} does not take a value");
+fn validate_args(cmd: &str, args: &Args) -> Result<(), ExitCode> {
+    let given = args.pairs.iter().map(|(k, _)| (k, true));
+    for (key, has_value) in given.chain(args.flags.iter().map(|f| (f, false))) {
+        let Some(&(_, takes_value, _)) = OPTIONS
+            .iter()
+            .find(|(name, _, cmds)| name == key && cmds.contains(&cmd))
+        else {
+            eprintln!("unknown option `--{key}` for `fbdsim {cmd}`");
             return Err(usage());
-        }
-        if !keys.contains(&k.as_str()) {
-            eprintln!("unknown option `--{k}` for `fbdsim {cmd}`");
-            return Err(usage());
-        }
-    }
-    for f in &args.flags {
-        if keys.contains(&f.as_str()) {
-            eprintln!("--{f} requires a value");
-            return Err(usage());
-        }
-        if !flags.contains(&f.as_str()) {
-            eprintln!("unknown option `--{f}` for `fbdsim {cmd}`");
+        };
+        if has_value != takes_value {
+            if takes_value {
+                eprintln!("--{key} requires a value");
+            } else {
+                eprintln!("--{key} does not take a value");
+            }
             return Err(usage());
         }
     }
@@ -263,49 +221,47 @@ fn find_workload(name: &str) -> Option<Workload> {
     fbd_workloads::find(name)
 }
 
-fn system_config(name: &str, cores: u32) -> Option<SystemConfig> {
-    let mut cfg = SystemConfig::paper_default(cores);
-    cfg.mem = substrates().get(name)?.config();
-    Some(cfg)
-}
-
-/// The composition metadata a CLI run reports. The substrate label is
-/// the name the user selected — kept verbatim so it stays meaningful
-/// when fault flags make the config diverge from the registered preset
-/// (where [`Composition::from_config`] would report `custom`). The
-/// scheduler is the validated `--scheduler` choice; the rest comes from
-/// the config's own switches.
-fn composition_for(sname: &str, sched: &str, cfg: &SystemConfig) -> Composition {
-    Composition {
-        substrate: sname.to_string(),
-        scheduler: sched.to_string(),
-        mapper: "interleaved".to_string(),
-        refresh: if cfg.mem.refresh.enabled {
-            "staggered"
-        } else {
-            "none"
+/// The `--substrate` value, or its exact alias `--system`, with the
+/// spelling typed (diagnostics name it). `default` applies when neither
+/// is given; without one the option is required (usage error).
+fn substrate_arg<'a>(
+    args: &'a Args,
+    default: Option<&'a str>,
+) -> Result<(&'a str, &'static str), ExitCode> {
+    match (args.get("substrate"), args.get("system"), default) {
+        (Some(_), Some(_), _) => {
+            eprintln!("--system and --substrate are aliases; give only one");
+            Err(ExitCode::from(2))
         }
-        .to_string(),
+        (Some(s), None, _) => Ok((s, "substrate")),
+        (None, Some(s), _) => Ok((s, "system")),
+        (None, None, Some(d)) => Ok((d, "substrate")),
+        (None, None, None) => Err(usage()),
     }
 }
 
-/// Resolves the `--scheduler` flag shared by `run`/`compare`/`sweep`.
-/// Absent means the registered default (`hit-first`); unknown names are
-/// usage errors listing the registry.
-fn scheduler_options(args: &Args) -> Result<&str, ExitCode> {
-    if args.has_flag("scheduler") {
-        eprintln!("--scheduler requires a value");
-        return Err(ExitCode::from(2));
-    }
-    let name = args.get("scheduler").unwrap_or("hit-first");
-    if schedulers().get(name).is_none() {
-        eprintln!(
-            "unknown scheduler `{name}` (available: {})",
-            schedulers().available()
-        );
-        return Err(ExitCode::from(2));
-    }
-    Ok(name)
+/// The spec every subcommand runs: a `cores`-core system on the
+/// registered substrate `name` (typed as `--{flag}`) under the
+/// `--scheduler` policy (default `hit-first`). Its
+/// [`RunSpec::composition`] is the stats document's composition: the
+/// substrate label stays the selected name even after fault options
+/// or a sweep knob edit the configuration. Unknown names are usage
+/// errors listing the registry.
+fn resolve(args: &Args, name: &str, flag: &str, cores: u32) -> Result<RunSpec, ExitCode> {
+    RunSpec::paper_default(cores)
+        .try_substrate(name)
+        .map_err(|_| {
+            eprintln!(
+                "unknown {flag} `{name}` (available: {})",
+                substrates().available()
+            );
+            ExitCode::from(2)
+        })?
+        .try_scheduler(args.get("scheduler").unwrap_or("hit-first"))
+        .map_err(|e| {
+            eprintln!("{e}");
+            ExitCode::from(2)
+        })
 }
 
 fn experiment(args: &Args) -> Result<ExperimentConfig, ExitCode> {
@@ -345,21 +301,6 @@ fn experiment(args: &Args) -> Result<ExperimentConfig, ExitCode> {
 /// The other reliability knobs shape how errors are detected or
 /// recovered from, so they require `--fault-ber`.
 fn fault_options(args: &Args) -> Result<Option<FaultConfig>, ExitCode> {
-    for key in [
-        "fault-ber",
-        "fault-seed",
-        "fault-mode",
-        "crc-bits",
-        "scrub",
-        "scrub-interval-ns",
-        "failback",
-        "reissue",
-    ] {
-        if args.has_flag(key) {
-            eprintln!("--{key} requires a value");
-            return Err(ExitCode::from(2));
-        }
-    }
     if args.get("fault-ber").is_none() {
         for key in [
             "fault-seed",
@@ -424,7 +365,7 @@ fn fault_options(args: &Args) -> Result<Option<FaultConfig>, ExitCode> {
             None => {
                 eprintln!(
                     "unknown scrub policy `{v}` (available: {})",
-                    scrub_policies().available()
+                    ScrubPolicyKind::ALL.map(ScrubPolicyKind::name).join("|")
                 );
                 return Err(ExitCode::from(2));
             }
@@ -464,10 +405,6 @@ fn fault_options(args: &Args) -> Result<Option<FaultConfig>, ExitCode> {
 /// Absent means accurate (the cycle simulator); `Err` is a usage error
 /// already reported on stderr.
 fn fidelity_options(args: &Args) -> Result<Fidelity, ExitCode> {
-    if args.has_flag("fidelity") {
-        eprintln!("--fidelity requires a value");
-        return Err(ExitCode::from(2));
-    }
     match args.get("fidelity") {
         None => Ok(Fidelity::Accurate),
         Some(v) => match Fidelity::by_name(v) {
@@ -818,22 +755,20 @@ fn calibration_json(cal: &Calibration) -> Json {
 /// cadence) whose observer feeds the shared throughput meter.
 #[allow(clippy::type_complexity)]
 fn run_grid(
-    grid: &[(String, String, SystemConfig)],
-    workload: &Workload,
-    exp: ExperimentConfig,
+    grid: &[(String, RunSpec)],
     fidelity: Fidelity,
-    sched: &str,
     live: Option<&Arc<LiveState>>,
 ) -> Result<(Vec<RunResult>, Vec<Fidelity>, Option<Arc<Calibration>>), ExitCode> {
     let point_spec = |i: usize| -> RunSpec {
-        let (label, _, cfg) = &grid[i];
+        let (label, spec) = &grid[i];
         let profiler = Arc::new(HostProfiler::enabled());
-        let mut spec = spec_for(*cfg, workload, exp, sched).host_profiler(Arc::clone(&profiler));
+        let mut spec = spec.clone().host_profiler(Arc::clone(&profiler));
         if let Some(state) = live {
             state.register(label, profiler);
+            let clock = spec.system().mem.data_rate.clock_period();
             spec = spec
                 .telemetry(TelemetryConfig {
-                    sample_interval: Some(cfg.mem.data_rate.clock_period() * LIVE_SAMPLE_CYCLES),
+                    sample_interval: Some(clock * LIVE_SAMPLE_CYCLES),
                     trace: false,
                 })
                 .sample_observer(state.observer());
@@ -853,13 +788,17 @@ fn run_grid(
         });
         return Ok((results, vec![Fidelity::Accurate; grid.len()], None));
     }
-    let Some((_, _, first)) = grid.first() else {
+    let Some((_, first)) = grid.first() else {
         return Ok((Vec::new(), Vec::new(), None));
     };
     if live.is_none() && std::io::stderr().is_terminal() {
         eprintln!("calibrating the fast model (accurate fit + holdout runs)...");
     }
-    let cal = match calibrate(&spec_for(*first, workload, exp, sched)) {
+    // The calibration is labelled with the preset its anchor
+    // configuration matches (`custom` for a swept variant), not with
+    // the substrate name the grid was selected by.
+    let anchor = first.clone().with_system(*first.system());
+    let cal = match calibrate(&anchor) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -907,26 +846,10 @@ fn run_grid(
     Ok((results, tags, Some(cal)))
 }
 
-/// Builds the [`RunSpec`] every subcommand runs through: the resolved
-/// system and workload, the validated scheduler name, plus the shared
-/// `--budget`/`--seed` run control.
-fn spec_for(cfg: SystemConfig, workload: &Workload, exp: ExperimentConfig, sched: &str) -> RunSpec {
-    RunSpec::new(cfg)
-        .with_workload(workload.clone())
-        .experiment(exp)
-        .scheduler(sched)
-}
-
 /// Resolves the run subcommand's telemetry flags. `Ok(None)` means no
 /// telemetry was requested (the run pays zero instrumentation cost);
 /// `Err` is a usage error already reported on stderr.
 fn telemetry_options(args: &Args, cfg: &SystemConfig) -> Result<Option<TelemetryConfig>, ExitCode> {
-    for key in ["stats-json", "trace-out", "sample-interval"] {
-        if args.has_flag(key) {
-            eprintln!("--{key} requires a value");
-            return Err(ExitCode::from(2));
-        }
-    }
     let sample_interval = match args.get("sample-interval") {
         None => None,
         Some(v) => match v.parse::<u64>() {
@@ -1294,7 +1217,7 @@ fn cmd_list() -> ExitCode {
 /// Prints every registered substrate with its timing spec and the key
 /// Table-2 parameters, in registration order.
 fn cmd_list_substrates() -> ExitCode {
-    println!("substrates (select with --substrate; --system is an alias on run):");
+    println!("substrates (select with --substrate or its alias --system):");
     for (name, sub) in substrates().iter() {
         let cfg = sub.config();
         let t = &cfg.timings;
@@ -1324,36 +1247,21 @@ fn cmd_list_schedulers() -> ExitCode {
 }
 
 fn cmd_run(args: &Args) -> ExitCode {
-    if let Err(code) = validate_args("run", args, RUN_KEYS, RUN_FLAGS) {
+    if let Err(code) = validate_args("run", args) {
         return code;
     }
     let Some(wname) = args.get("workload") else {
         return usage();
     };
-    // `--system` (historical) and `--substrate` (registry spelling) are
-    // exact aliases: both resolve through the substrate registry, so
-    // their outputs are byte-identical.
-    let (sname, flag) = match (args.get("system"), args.get("substrate")) {
-        (Some(_), Some(_)) => {
-            eprintln!("--system and --substrate are aliases; give only one");
-            return ExitCode::from(2);
-        }
-        (Some(s), None) => (s, "system"),
-        (None, Some(s)) => (s, "substrate"),
-        (None, None) => return usage(),
+    let (sname, flag) = match substrate_arg(args, None) {
+        Ok(s) => s,
+        Err(code) => return code,
     };
     let Some(workload) = find_workload(wname) else {
         eprintln!("unknown workload `{wname}` (try `fbdsim list`)");
         return ExitCode::from(2);
     };
-    let Some(mut cfg) = system_config(sname, workload.cores()) else {
-        eprintln!(
-            "unknown {flag} `{sname}` (available: {})",
-            substrates().available()
-        );
-        return ExitCode::from(2);
-    };
-    let sched = match scheduler_options(args) {
+    let spec = match resolve(args, sname, flag, workload.cores()) {
         Ok(s) => s,
         Err(code) => return code,
     };
@@ -1376,10 +1284,12 @@ fn cmd_run(args: &Args) -> ExitCode {
         eprintln!("--trace-out requires --fidelity accurate");
         return ExitCode::from(2);
     }
+    let mut spec = spec.with_workload(workload.clone()).experiment(exp);
     if let Some(fc) = faults {
-        cfg.mem.faults = fc;
+        spec.system_mut().mem.faults = fc;
     }
-    let mut telemetry = match telemetry_options(args, &cfg) {
+    let clock = spec.system().mem.data_rate.clock_period();
+    let mut telemetry = match telemetry_options(args, spec.system()) {
         Ok(t) => t,
         Err(code) => return code,
     };
@@ -1397,19 +1307,17 @@ fn cmd_run(args: &Args) -> ExitCode {
             sample_interval: None,
             trace: false,
         });
-        t.sample_interval = Some(cfg.mem.data_rate.clock_period() * LIVE_SAMPLE_CYCLES);
+        t.sample_interval = Some(clock * LIVE_SAMPLE_CYCLES);
     }
     let csv = args.has_flag("csv");
     let json_stdout = args.has_flag("json");
-    let comp = composition_for(sname, sched, &cfg);
-    let mut spec = spec_for(cfg, &workload, exp, sched);
+    let comp = spec.composition();
     if let Some(tc) = &telemetry {
         spec = spec.telemetry(*tc);
     }
     let profiler = Arc::new(HostProfiler::enabled());
     spec = spec.host_profiler(Arc::clone(&profiler));
-    let live_state =
-        live.then(|| LiveState::new(workload.name(), 1, cfg.mem.data_rate.clock_period()));
+    let live_state = live.then(|| LiveState::new(workload.name(), 1, clock));
     if let Some(state) = &live_state {
         state.register(sname, profiler);
         spec = spec.sample_observer(state.observer());
@@ -1525,34 +1433,36 @@ fn stage_row(label: &str, h: &LogHistogram, e2e_total_ns: f64) -> String {
 /// per request class, where every nanosecond of read and write latency
 /// went.
 fn cmd_profile(args: &Args) -> ExitCode {
-    if let Err(code) = validate_args("profile", args, PROFILE_KEYS, PROFILE_FLAGS) {
+    if let Err(code) = validate_args("profile", args) {
         return code;
     }
     let Some(wname) = args.get("workload") else {
         return usage();
     };
-    let sname = args.get("system").unwrap_or("fbd-ap");
+    let (sname, flag) = match substrate_arg(args, Some("fbd-ap")) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     let Some(workload) = find_workload(wname) else {
         eprintln!("unknown workload `{wname}` (try `fbdsim list`)");
         return ExitCode::from(2);
     };
-    let Some(mut cfg) = system_config(sname, workload.cores()) else {
-        eprintln!(
-            "unknown system `{sname}` (available: {})",
-            substrates().available()
-        );
-        return ExitCode::from(2);
+    let spec = match resolve(args, sname, flag, workload.cores()) {
+        Ok(s) => s,
+        Err(code) => return code,
     };
     let (exp, faults) = match (experiment(args), fault_options(args)) {
         (Ok(e), Ok(f)) => (e, f),
         (Err(code), _) | (_, Err(code)) => return code,
     };
+    let mut spec = spec
+        .with_workload(workload.clone())
+        .experiment(exp)
+        .host_profiler(Arc::new(HostProfiler::enabled()));
     if let Some(fc) = faults {
-        cfg.mem.faults = fc;
+        spec.system_mut().mem.faults = fc;
     }
-    let comp = composition_for(sname, "hit-first", &cfg);
-    let spec =
-        spec_for(cfg, &workload, exp, "hit-first").host_profiler(Arc::new(HostProfiler::enabled()));
+    let comp = spec.composition();
     let r = match spec.try_run() {
         Ok(r) => r,
         Err(e) => {
@@ -1709,21 +1619,21 @@ fn session_host_json(start: Instant, results: &[RunResult]) -> Json {
 fn live_state_for(
     args: &Args,
     workload: &Workload,
-    grid: &[(String, String, SystemConfig)],
+    grid: &[(String, RunSpec)],
 ) -> Option<Arc<LiveState>> {
     if !(args.has_flag("live") && std::io::stderr().is_terminal()) {
         return None;
     }
     let clock = grid
         .first()
-        .map_or(DataRate::MTS667.clock_period(), |(_, _, cfg)| {
-            cfg.mem.data_rate.clock_period()
+        .map_or(DataRate::MTS667.clock_period(), |(_, spec)| {
+            spec.system().mem.data_rate.clock_period()
         });
     Some(LiveState::new(workload.name(), grid.len(), clock))
 }
 
 fn cmd_compare(args: &Args) -> ExitCode {
-    if let Err(code) = validate_args("compare", args, COMPARE_KEYS, COMPARE_FLAGS) {
+    if let Err(code) = validate_args("compare", args) {
         return code;
     }
     let session_start = Instant::now();
@@ -1756,36 +1666,26 @@ fn cmd_compare(args: &Args) -> ExitCode {
     // all cores, then report strictly in grid order so the output stays
     // byte-for-byte deterministic. `--substrate a,b,c` replaces the
     // default paper grid.
-    let systems: Vec<String> = match args.get("substrate") {
-        Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
-        None => ["ddr2", "fbd", "fbd-ap", "fbd-apfl"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    };
-    let sched = match scheduler_options(args) {
+    let (list, flag) = match substrate_arg(args, Some("ddr2,fbd,fbd-ap,fbd-apfl")) {
         Ok(s) => s,
         Err(code) => return code,
     };
     let mut grid = Vec::new();
-    for sname in &systems {
-        let Some(mut cfg) = system_config(sname, workload.cores()) else {
-            eprintln!(
-                "unknown substrate `{sname}` (available: {})",
-                substrates().available()
-            );
-            return ExitCode::from(2);
+    for sname in list.split(',').map(str::trim) {
+        let mut spec = match resolve(args, sname, flag, workload.cores()) {
+            Ok(s) => s.with_workload(workload.clone()).experiment(exp),
+            Err(code) => return code,
         };
         if let Some(fc) = faults {
-            cfg.mem.faults = fc;
+            spec.system_mut().mem.faults = fc;
         }
-        grid.push((sname.clone(), sname.clone(), cfg));
+        grid.push((sname.to_string(), spec));
     }
     let live_state = live_state_for(args, &workload, &grid);
     let dashboard = live_state
         .as_ref()
         .map(|s| LiveDashboard::start(Arc::clone(s)));
-    let run = run_grid(&grid, &workload, exp, fidelity, sched, live_state.as_ref());
+    let run = run_grid(&grid, fidelity, live_state.as_ref());
     if let Some(d) = dashboard {
         d.finish();
     }
@@ -1795,7 +1695,7 @@ fn cmd_compare(args: &Args) -> ExitCode {
     };
     let host = session_host_json(session_start, &results);
     let points = grid_points(
-        &grid, &results, &tags, fidelity, &workload, sched, human, csv, want_stats,
+        &grid, &results, &tags, fidelity, &workload, human, csv, want_stats,
     );
     emit_grid(
         args,
@@ -1813,26 +1713,24 @@ fn cmd_compare(args: &Args) -> ExitCode {
 /// stays byte-identical to previous releases.
 #[allow(clippy::too_many_arguments)]
 fn grid_points(
-    grid: &[(String, String, SystemConfig)],
+    grid: &[(String, RunSpec)],
     results: &[RunResult],
     tags: &[Fidelity],
     fidelity: Fidelity,
     workload: &Workload,
-    sched: &str,
     human: bool,
     csv: bool,
     want_stats: bool,
 ) -> Vec<Json> {
     let mut points = Vec::new();
-    for (((label, substrate, cfg), r), tag) in grid.iter().zip(results).zip(tags) {
+    for (((label, spec), r), tag) in grid.iter().zip(results).zip(tags) {
         if human {
             report(workload, label, r, csv);
         }
         if !want_stats {
             continue;
         }
-        let comp = composition_for(substrate, sched, cfg);
-        let Json::Obj(mut fields) = stats_document(workload, label, &comp, r) else {
+        let Json::Obj(mut fields) = stats_document(workload, label, &spec.composition(), r) else {
             unreachable!("stats_document always returns an object");
         };
         if fidelity != Fidelity::Accurate {
@@ -1844,7 +1742,7 @@ fn grid_points(
 }
 
 fn cmd_sweep(args: &Args) -> ExitCode {
-    if let Err(code) = validate_args("sweep", args, SWEEP_KEYS, SWEEP_FLAGS) {
+    if let Err(code) = validate_args("sweep", args) {
         return code;
     }
     let session_start = Instant::now();
@@ -1875,34 +1773,34 @@ fn cmd_sweep(args: &Args) -> ExitCode {
     }
     // `--substrate` re-bases the sweep on any registered preset; the
     // default is the paper's fbd-ap system.
-    let base_name = args.get("substrate").unwrap_or("fbd-ap");
-    let sched = match scheduler_options(args) {
+    let (base_name, flag) = match substrate_arg(args, Some("fbd-ap")) {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let Some(mut base) = system_config(base_name, workload.cores()) else {
-        eprintln!(
-            "unknown substrate `{base_name}` (available: {})",
-            substrates().available()
-        );
-        return ExitCode::from(2);
+    let mut base = match resolve(args, base_name, flag, workload.cores()) {
+        Ok(s) => s.with_workload(workload.clone()).experiment(exp),
+        Err(code) => return code,
     };
     if let Some(fc) = faults {
-        base.mem.faults = fc;
+        base.system_mut().mem.faults = fc;
     }
-    let Some(points) = sweep_points(knob, base_name, base) else {
+    let Some(points) = sweep_points(knob, base_name, *base.system()) else {
         eprintln!("unknown knob `{knob}` (k|entries|assoc|channels|rate|grid)");
         return ExitCode::from(2);
     };
-    let grid: Vec<(String, String, SystemConfig)> = points
+    let grid: Vec<(String, RunSpec)> = points
         .into_iter()
-        .map(|(label, cfg)| (label, base_name.to_string(), cfg))
+        .map(|(label, cfg)| {
+            let mut spec = base.clone();
+            *spec.system_mut() = cfg;
+            (label, spec)
+        })
         .collect();
     let live_state = live_state_for(args, &workload, &grid);
     let dashboard = live_state
         .as_ref()
         .map(|s| LiveDashboard::start(Arc::clone(s)));
-    let run = run_grid(&grid, &workload, exp, fidelity, sched, live_state.as_ref());
+    let run = run_grid(&grid, fidelity, live_state.as_ref());
     if let Some(d) = dashboard {
         d.finish();
     }
@@ -1912,7 +1810,7 @@ fn cmd_sweep(args: &Args) -> ExitCode {
     };
     let host = session_host_json(session_start, &results);
     let docs = grid_points(
-        &grid, &results, &tags, fidelity, &workload, sched, human, csv, want_stats,
+        &grid, &results, &tags, fidelity, &workload, human, csv, want_stats,
     );
     emit_grid(args, "sweep", &workload, docs, calibration.as_deref(), host)
 }
@@ -2000,21 +1898,23 @@ fn sweep_points(knob: &str, name: &str, base: SystemConfig) -> Option<Vec<(Strin
 }
 
 fn cmd_record(args: &Args) -> ExitCode {
-    if let Err(code) = validate_args("record", args, RECORD_KEYS, RECORD_FLAGS) {
+    if let Err(code) = validate_args("record", args) {
         return code;
     }
-    let (Some(wname), Some(sname), Some(out)) =
-        (args.get("workload"), args.get("system"), args.get("out"))
-    else {
+    let (Some(wname), Some(out)) = (args.get("workload"), args.get("out")) else {
         return usage();
+    };
+    let (sname, flag) = match substrate_arg(args, None) {
+        Ok(s) => s,
+        Err(code) => return code,
     };
     let Some(workload) = find_workload(wname) else {
         eprintln!("unknown workload `{wname}` (try `fbdsim list`)");
         return ExitCode::from(2);
     };
-    let Some(cfg) = system_config(sname, workload.cores()) else {
-        eprintln!("unknown system `{sname}`");
-        return ExitCode::from(2);
+    let spec = match resolve(args, sname, flag, workload.cores()) {
+        Ok(s) => s,
+        Err(code) => return code,
     };
     // Record the raw access stream: no L2 warm-up, so the trace starts
     // at the first transaction (matching the historical behavior of
@@ -2024,7 +1924,9 @@ fn cmd_record(args: &Args) -> ExitCode {
         Err(code) => return code,
     };
     exp.warmup = fbd_core::Warmup::Ops(0);
-    let result = match spec_for(cfg, &workload, exp, "hit-first")
+    let result = match spec
+        .with_workload(workload.clone())
+        .experiment(exp)
         .capture_trace()
         .try_run()
     {
@@ -2060,15 +1962,19 @@ fn cmd_record(args: &Args) -> ExitCode {
 }
 
 fn cmd_replay(args: &Args) -> ExitCode {
-    if let Err(code) = validate_args("replay", args, REPLAY_KEYS, REPLAY_FLAGS) {
+    if let Err(code) = validate_args("replay", args) {
         return code;
     }
-    let (Some(path), Some(sname)) = (args.get("trace"), args.get("system")) else {
+    let Some(path) = args.get("trace") else {
         return usage();
     };
-    let Some(cfg) = system_config(sname, 1) else {
-        eprintln!("unknown system `{sname}`");
-        return ExitCode::from(2);
+    let (sname, flag) = match substrate_arg(args, None) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
+    let spec = match resolve(args, sname, flag, 1) {
+        Ok(s) => s,
+        Err(code) => return code,
     };
     let file = match std::fs::File::open(path) {
         Ok(f) => std::io::BufReader::new(f),
@@ -2086,7 +1992,7 @@ fn cmd_replay(args: &Args) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = fbd_core::replay(&cfg.mem, &trace);
+    let result = fbd_core::replay(&spec.system().mem, &trace);
     println!("replayed {} transactions on {}:", trace.len(), sname);
     println!(
         "  finished at        {:.2} µs",
@@ -2165,6 +2071,15 @@ mod tests {
         Args::parse(&v)
     }
 
+    /// The spec `fbdsim` resolves for `args` on substrate `name`.
+    fn spec(args: &[&str], name: &str) -> Result<RunSpec, ExitCode> {
+        resolve(&parse(args).unwrap(), name, "substrate", 1)
+    }
+
+    fn fbd_ap() -> SystemConfig {
+        *spec(&[], "fbd-ap").unwrap().system()
+    }
+
     #[test]
     fn parses_pairs_and_flags() {
         let args = parse(&["--workload", "1C-swim", "--csv", "--budget", "1000"]).unwrap();
@@ -2195,47 +2110,44 @@ mod tests {
         // Every registered substrate resolves, including the extension
         // entries that exist only in the registry.
         for s in ["ddr2", "fbd", "fbd-ap", "fbd-apfl", "fbd-ddr3", "ddr3-1066"] {
-            let cfg = system_config(s, 2).expect(s);
-            cfg.validate().unwrap();
+            spec(&[], s).unwrap().validate().unwrap();
         }
-        assert!(system_config("ddr5", 1).is_none());
+        assert!(spec(&[], "ddr5").is_err());
     }
 
     #[test]
     fn scheduler_flag_resolves_against_the_registry() {
         // Absent means the paper's hit-first policy.
-        let args = parse(&["--workload", "1C-swim"]).unwrap();
-        assert_eq!(scheduler_options(&args).unwrap(), "hit-first");
+        let comp = spec(&["--workload", "1C-swim"], "fbd")
+            .unwrap()
+            .composition();
+        assert_eq!(comp.scheduler, "hit-first");
         for name in ["hit-first", "fcfs"] {
-            let args = parse(&["--scheduler", name]).unwrap();
-            assert_eq!(scheduler_options(&args).unwrap(), name);
+            let comp = spec(&["--scheduler", name], "fbd").unwrap().composition();
+            assert_eq!(comp.scheduler, name);
         }
         // Unknown names and a bare flag are usage errors.
-        let args = parse(&["--scheduler", "round-robin"]).unwrap();
-        assert!(scheduler_options(&args).is_err());
-        let args = parse(&["--scheduler"]).unwrap();
-        assert!(scheduler_options(&args).is_err());
+        assert!(spec(&["--scheduler", "round-robin"], "fbd").is_err());
+        assert!(validate_args("run", &parse(&["--scheduler"]).unwrap()).is_err());
     }
 
     #[test]
     fn composition_metadata_reflects_the_selection() {
-        let cfg = system_config("fbd-ap", 1).unwrap();
-        let comp = composition_for("fbd-ap", "fcfs", &cfg);
+        let mut s = spec(&["--scheduler", "fcfs"], "fbd-ap").unwrap();
+        let comp = s.composition();
         assert_eq!(comp.substrate, "fbd-ap");
         assert_eq!(comp.scheduler, "fcfs");
         assert_eq!(comp.mapper, "interleaved");
         assert_eq!(comp.refresh, "none", "the paper runs without refresh");
         // The substrate label survives a config edit (e.g. fault
         // injection) that makes the config diverge from the preset.
-        let mut faulty = cfg;
-        faulty.mem.faults.ber = 1e-6;
-        let comp = composition_for("fbd-ap", "hit-first", &faulty);
-        assert_eq!(comp.substrate, "fbd-ap");
+        s.system_mut().mem.faults.ber = 1e-6;
+        assert_eq!(s.composition().substrate, "fbd-ap");
     }
 
     #[test]
     fn telemetry_flags_resolve() {
-        let cfg = system_config("fbd-ap", 1).unwrap();
+        let cfg = fbd_ap();
         // No telemetry flags: instrumentation stays off entirely.
         let args = parse(&["--workload", "1C-swim"]).unwrap();
         assert!(telemetry_options(&args, &cfg).unwrap().is_none());
@@ -2256,7 +2168,7 @@ mod tests {
 
     #[test]
     fn telemetry_rejects_bad_sample_intervals() {
-        let cfg = system_config("fbd-ap", 1).unwrap();
+        let cfg = fbd_ap();
         for bad in ["0", "-5", "abc", "1.5"] {
             let args = parse(&["--sample-interval", bad]).unwrap();
             assert!(
@@ -2269,7 +2181,7 @@ mod tests {
         for flag in ["--stats-json", "--trace-out", "--sample-interval"] {
             let args = parse(&[flag, "--csv"]).unwrap();
             assert!(
-                telemetry_options(&args, &cfg).is_err(),
+                validate_args("run", &args).is_err(),
                 "bare {flag} must be rejected"
             );
         }
@@ -2278,21 +2190,21 @@ mod tests {
     #[test]
     fn stats_document_matches_run_result() {
         let workload = find_workload("1C-swim").unwrap();
-        let cfg = system_config("fbd-ap", 1).unwrap();
         let exp = ExperimentConfig {
             budget: 20_000,
             ..ExperimentConfig::default()
         };
+        let base = spec(&[], "fbd-ap")
+            .unwrap()
+            .with_workload(workload.clone())
+            .experiment(exp);
+        let cfg = *base.system();
         let tc = TelemetryConfig {
             sample_interval: Some(cfg.mem.data_rate.clock_period() * 512),
             trace: true,
         };
-        let r = RunSpec::new(cfg)
-            .with_workload(workload.clone())
-            .experiment(exp)
-            .telemetry(tc)
-            .run();
-        let comp = composition_for("fbd-ap", "hit-first", &cfg);
+        let r = base.clone().telemetry(tc).run();
+        let comp = base.composition();
         let doc = stats_document(&workload, "fbd-ap", &comp, &r);
         // The document round-trips through its own writer and parser.
         let parsed = fbd_telemetry::json::parse(&doc.to_json()).unwrap();
@@ -2376,10 +2288,7 @@ mod tests {
         assert!(parsed.get("metrics").is_some());
         assert!(parsed.get("series").is_some());
         // Without telemetry those sections are absent.
-        let bare = RunSpec::new(cfg)
-            .with_workload(workload.clone())
-            .experiment(exp)
-            .run();
+        let bare = base.run();
         let doc = stats_document(&workload, "fbd-ap", &comp, &bare);
         assert!(doc.get("metrics").is_none());
         assert!(doc.get("series").is_none());
@@ -2388,23 +2297,28 @@ mod tests {
     #[test]
     fn unknown_options_are_usage_errors_on_every_subcommand() {
         let bogus = parse(&["--workload", "1C-swim", "--bogus", "x"]).unwrap();
-        assert!(validate_args("run", &bogus, RUN_KEYS, RUN_FLAGS).is_err());
-        assert!(validate_args("profile", &bogus, PROFILE_KEYS, PROFILE_FLAGS).is_err());
-        assert!(validate_args("compare", &bogus, COMPARE_KEYS, COMPARE_FLAGS).is_err());
-        assert!(validate_args("sweep", &bogus, SWEEP_KEYS, SWEEP_FLAGS).is_err());
-        assert!(validate_args("record", &bogus, RECORD_KEYS, RECORD_FLAGS).is_err());
-        assert!(validate_args("replay", &bogus, REPLAY_KEYS, REPLAY_FLAGS).is_err());
+        for cmd in SYSTEM {
+            assert!(validate_args(cmd, &bogus).is_err(), "{cmd}");
+        }
         let stray_flag = parse(&["--workload", "1C-swim", "--timeline"]).unwrap();
-        assert!(validate_args("compare", &stray_flag, COMPARE_KEYS, COMPARE_FLAGS).is_err());
+        assert!(validate_args("compare", &stray_flag).is_err());
         // A value-taking option with no value, and a boolean flag given
         // a value, are both rejected.
         let bare = parse(&["--workload"]).unwrap();
-        assert!(validate_args("compare", &bare, COMPARE_KEYS, COMPARE_FLAGS).is_err());
+        assert!(validate_args("compare", &bare).is_err());
         let flag_with_value = parse(&["--csv", "yes"]).unwrap();
-        assert!(validate_args("compare", &flag_with_value, COMPARE_KEYS, COMPARE_FLAGS).is_err());
+        assert!(validate_args("compare", &flag_with_value).is_err());
         // The happy path stays accepted.
         let ok = parse(&["--workload", "1C-swim", "--csv", "--stats-json", "s.json"]).unwrap();
-        assert!(validate_args("compare", &ok, COMPARE_KEYS, COMPARE_FLAGS).is_ok());
+        assert!(validate_args("compare", &ok).is_ok());
+        // Both spellings of the system option are accepted wherever a
+        // system is selected.
+        for flag in ["--substrate", "--system"] {
+            let args = parse(&[flag, "fbd"]).unwrap();
+            for cmd in SYSTEM {
+                assert!(validate_args(cmd, &args).is_ok(), "{cmd} {flag}");
+            }
+        }
     }
 
     #[test]
@@ -2547,7 +2461,7 @@ mod tests {
         ] {
             let args = parse(&[flag]).unwrap();
             assert!(
-                fault_options(&args).is_err(),
+                validate_args("run", &args).is_err(),
                 "bare {flag} must be rejected"
             );
         }
@@ -2570,12 +2484,12 @@ mod tests {
         let args = parse(&["--fidelity", "quick"]).unwrap();
         assert!(fidelity_options(&args).is_err());
         let args = parse(&["--fidelity"]).unwrap();
-        assert!(fidelity_options(&args).is_err());
+        assert!(validate_args("run", &args).is_err());
     }
 
     #[test]
     fn sweep_grid_knob_expands_to_64_valid_points() {
-        let base = system_config("fbd-ap", 1).unwrap();
+        let base = fbd_ap();
         let points = sweep_points("grid", "fbd-ap", base).unwrap();
         assert_eq!(points.len(), 64);
         let labels: std::collections::HashSet<&str> =
@@ -2609,6 +2523,6 @@ mod tests {
         }
         // A bare value-taking fault flag is a usage error.
         let args = parse(&["--fault-ber"]).unwrap();
-        assert!(fault_options(&args).is_err());
+        assert!(validate_args("run", &args).is_err());
     }
 }

@@ -264,7 +264,7 @@ impl RunSpec {
     }
 
     /// Selects a registered scheduling policy by name for every
-    /// channel (overrides the configuration's legacy policy enum).
+    /// channel (the default is `hit-first`).
     ///
     /// # Panics
     ///

@@ -50,7 +50,7 @@ pub use fidelity::{
     calibrate, pareto_frontier, Calibration, Fidelity, CALIBRATION_FIT_POINTS,
     CALIBRATION_HOLDOUT_POINTS,
 };
-pub use memsys::{ChannelCounters, DecideResult, Issued, MemorySystem};
+pub use memsys::{ChannelCounters, Issued, MemorySystem};
 pub use parallel::parallel_map;
 pub use system::{RunResult, System};
 pub use trace_io::{replay, MemoryTrace, ReplayResult, TraceRecord};

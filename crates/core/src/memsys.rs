@@ -20,8 +20,8 @@ use std::collections::{HashSet, VecDeque};
 
 use fbd_amb::{AmbDimm, GroupFetchOutcome, ReadOutcome, WriteOutcome};
 use fbd_ctrl::{
-    mappers, refresh_managers, schedulers, scrub_policies, AddressMapper, FillOutcome, MappedAddr,
-    PrefetchTable, QueueEntry, RefreshManager, RefreshOp, SchedClass, SchedulerPolicy, ScrubPolicy,
+    mappers, refresh_managers, schedulers, AddressMapper, FillOutcome, MappedAddr, PatrolScrub,
+    PrefetchTable, QueueEntry, RefreshManager, RefreshOp, SchedClass, SchedulerPolicy,
     TransactionQueue,
 };
 use fbd_dram::{AccessPlan, BankArray, ColKind, ColumnOp, DataBus};
@@ -68,20 +68,6 @@ pub enum Issued {
         /// Completion instant (frees the in-flight slot).
         done: Time,
     },
-}
-
-/// Outcome of one scheduling decision.
-///
-/// A decision usually issues at most one transaction; on a shared-bus
-/// (DDR2) channel a triggered write drain commits the whole batch in one
-/// decision so the following reads' activates overlap the write burst.
-#[derive(Clone, Debug, Default)]
-pub struct DecideResult {
-    /// The transactions issued (empty if none was ready).
-    pub issued: Vec<Issued>,
-    /// When this channel should next run a decision (None: wait for a
-    /// new arrival or a completion).
-    pub next_decision: Option<Time>,
 }
 
 enum ChannelPath {
@@ -329,12 +315,9 @@ const SYNTH_ID_BASE: u64 = 1 << 63;
 /// byte-identical to a build without this subsystem.
 #[derive(Debug)]
 struct Reliability {
-    /// Background scrub policy (the registry's `none` entry when only
+    /// Patrol scrubber (`None` under `ScrubPolicyKind::None`, when only
     /// poison tracking or re-issue is active).
-    scrub: Box<dyn ScrubPolicy>,
-    /// Whether `scrub` can ever return work — skips the observe/poll
-    /// calls entirely for the `none` policy.
-    scrub_active: bool,
+    scrub: Option<PatrolScrub>,
     /// Lines whose last transfer escaped the CRC: silently corrupted
     /// in memory until a clean overwrite or a scrub repairs them.
     poisoned: HashSet<LineAddr>,
@@ -503,18 +486,14 @@ impl MemorySystem {
         let refresh_mgr = refresh_spec.build(cfg);
         let refresh_active = refresh_mgr.is_active();
         let reliability = if cfg.faults.recovery_active() {
-            let scrub_spec = scrub_policies()
-                .get(cfg.faults.scrub.name())
-                .ok_or_else(|| {
-                    format!(
-                        "unknown scrub policy `{}` (available: {})",
-                        cfg.faults.scrub.name(),
-                        scrub_policies().available()
-                    )
-                })?;
             Some(Box::new(Reliability {
-                scrub: scrub_spec.build(cfg),
-                scrub_active: cfg.faults.scrub != ScrubPolicyKind::None,
+                scrub: match cfg.faults.scrub {
+                    ScrubPolicyKind::None => None,
+                    ScrubPolicyKind::Patrol => Some(PatrolScrub::new(
+                        cfg.logical_channels,
+                        Dur::from_ns(cfg.faults.scrub_interval_ns),
+                    )),
+                },
                 poisoned: HashSet::new(),
                 pending: vec![VecDeque::new(); cfg.logical_channels as usize],
                 reissue_budget: cfg.faults.reissue_budget as usize,
@@ -896,24 +875,15 @@ impl MemorySystem {
         self.refresh_buf = ops;
     }
 
-    /// Runs one scheduling decision for channel `ch` at `now`.
-    ///
-    /// Convenience wrapper over [`Self::decide_into`] that allocates a
-    /// fresh result; the hot loop uses `decide_into` with a reused
-    /// buffer instead.
-    pub fn decide(&mut self, ch: u32, now: Time) -> DecideResult {
-        let mut issued = Vec::new();
-        let next_decision = self.decide_into(ch, now, &mut issued);
-        DecideResult {
-            issued,
-            next_decision,
-        }
-    }
-
     /// Runs one scheduling decision for channel `ch` at `now`, pushing
     /// issued transactions into `issued` (not cleared first) and
     /// returning when the channel should next decide (`None`: wait for
     /// a new arrival or a completion).
+    ///
+    /// A decision usually issues at most one transaction; on a
+    /// shared-bus (DDR2) channel a triggered write drain commits the
+    /// whole batch in one decision so the following reads' activates
+    /// overlap the write burst.
     pub fn decide_into(&mut self, ch: u32, now: Time, issued: &mut Vec<Issued>) -> Option<Time> {
         if self.refresh_active {
             self.run_refreshes(ch, now);
@@ -1095,12 +1065,10 @@ impl MemorySystem {
             rel.counters.reissued += 1;
             return Some(self.next_slot(ch, now));
         }
-        let line = self.reliability.as_deref_mut().and_then(|r| {
-            if !r.scrub_active {
-                return None;
-            }
-            r.scrub.next_scrub(ch, now)
-        })?;
+        let line = self
+            .reliability
+            .as_deref_mut()
+            .and_then(|r| r.scrub.as_mut()?.next_scrub(ch, now))?;
         let entry = self.synth_entry(AccessKind::HardwarePrefetch, line, now);
         debug_assert_eq!(
             entry.mapped.channel, ch,
@@ -1337,8 +1305,8 @@ impl MemorySystem {
         // for idle-slot re-issue, and every serviced line feeds the
         // scrub policy's candidate pool.
         if let Some(rel) = self.reliability.as_deref_mut() {
-            if rel.scrub_active {
-                rel.scrub.observe(m.channel, req.line);
+            if let Some(scrub) = &mut rel.scrub {
+                scrub.observe(m.channel, req.line);
             }
             if escaped {
                 rel.poisoned.insert(req.line);
@@ -1478,8 +1446,8 @@ impl MemorySystem {
         // A clean overwrite repairs latent corruption; escaped write
         // data means the devices stored garbage nobody will re-send.
         if let Some(rel) = self.reliability.as_deref_mut() {
-            if rel.scrub_active {
-                rel.scrub.observe(m.channel, req.line);
+            if let Some(scrub) = &mut rel.scrub {
+                scrub.observe(m.channel, req.line);
             }
             if escaped {
                 rel.poisoned.insert(req.line);
@@ -1608,14 +1576,16 @@ mod tests {
         cfg.faults.scrub = ScrubPolicyKind::Patrol;
         cfg.faults.scrub_interval_ns = 10;
         let mut mem = MemorySystem::new(&cfg);
+        let mut issued = Vec::new();
         let (ch, ready) = mem.submit(demand(1, 0, Time::ZERO));
-        let r = mem.decide(ch, ready);
-        assert_eq!(r.issued.len(), 1, "the demand read issues first");
+        mem.decide_into(ch, ready, &mut issued);
+        assert_eq!(issued.len(), 1, "the demand read issues first");
         mem.complete(ch);
         // Channel idle, one line observed: the next decision sweeps it.
-        let r = mem.decide(ch, Time::from_ns(1_000));
-        assert_eq!(r.issued.len(), 1, "the idle slot runs a scrub read");
-        assert!(r.next_decision.is_some());
+        issued.clear();
+        let next = mem.decide_into(ch, Time::from_ns(1_000), &mut issued);
+        assert_eq!(issued.len(), 1, "the idle slot runs a scrub read");
+        assert!(next.is_some());
         let fr = mem
             .fault_report(Time::from_ns(2_000))
             .expect("scrub-only runs still report recovery activity");
@@ -1640,6 +1610,7 @@ mod tests {
         cfg.faults.seed = 7;
         cfg.faults.reissue_budget = 4;
         let mut mem = MemorySystem::new(&cfg);
+        let mut issued = Vec::new();
         let (ch, ready) = mem.submit(MemRequest::new(
             RequestId(1),
             CoreId(0),
@@ -1647,16 +1618,17 @@ mod tests {
             LineAddr::new(3),
             Time::ZERO,
         ));
-        let r = mem.decide(ch, ready);
-        assert_eq!(r.issued.len(), 1);
-        let Issued::Read { resp } = r.issued[0] else {
+        mem.decide_into(ch, ready, &mut issued);
+        assert_eq!(issued.len(), 1);
+        let Issued::Read { resp } = issued[0] else {
             panic!("a prefetch read was issued");
         };
         assert!(resp.dropped, "at BER 1.0 the prefetch return is dropped");
         mem.complete(ch);
         assert!(mem.has_work(ch), "a remembered drop counts as pending work");
-        let r = mem.decide(ch, Time::from_ns(5_000));
-        assert_eq!(r.issued.len(), 1, "the idle slot re-issues the drop");
+        issued.clear();
+        mem.decide_into(ch, Time::from_ns(5_000), &mut issued);
+        assert_eq!(issued.len(), 1, "the idle slot re-issues the drop");
         let fr = mem
             .fault_report(Time::from_ns(10_000))
             .expect("faulted run");
@@ -1674,12 +1646,14 @@ mod tests {
         cfg.faults.scrub = ScrubPolicyKind::Patrol;
         cfg.faults.scrub_interval_ns = 10;
         let mut mem = MemorySystem::new(&cfg);
+        let mut issued = Vec::new();
         let mut t = Time::ZERO;
         for i in 0..50 {
             t = Time::from_ns(1_000 * (i + 1));
             let (ch, _) = mem.submit(demand(i, 5, t));
-            let r = mem.decide(ch, t + cfg.controller_overhead);
-            assert_eq!(r.issued.len(), 1);
+            issued.clear();
+            mem.decide_into(ch, t + cfg.controller_overhead, &mut issued);
+            assert_eq!(issued.len(), 1);
             mem.complete(ch);
         }
         let fr = mem.fault_report(t).expect("faulted run");
@@ -1696,8 +1670,9 @@ mod tests {
         );
         // An idle decision sweeps the (only) observed line and repairs
         // it with a rewrite in the same decision.
-        let r = mem.decide(0, t + Dur::from_ns(1_000));
-        assert!(r.issued.len() >= 2, "scrub read plus repair rewrite");
+        issued.clear();
+        mem.decide_into(0, t + Dur::from_ns(1_000), &mut issued);
+        assert!(issued.len() >= 2, "scrub read plus repair rewrite");
         let fr = mem.fault_report(t + Dur::from_ns(2_000)).expect("report");
         assert!(fr.silent.scrubbed_clean >= 1);
         assert!(fr.counters.scrub_rewrites >= 1);

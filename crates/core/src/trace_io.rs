@@ -235,19 +235,20 @@ pub fn replay(cfg: &MemoryConfig, trace: &MemoryTrace) -> ReplayResult {
         events.push(Reverse((ready, Ev::Decide(ch))));
     }
     let mut finished = Time::ZERO;
+    let mut issued = Vec::new();
     while let Some(Reverse((t, ev))) = events.pop() {
         match ev {
             Ev::Decide(ch) => {
-                let result = mem.decide(ch, t);
-                for issued in result.issued {
-                    let done = match issued {
+                let next = mem.decide_into(ch, t, &mut issued);
+                for tx in issued.drain(..) {
+                    let done = match tx {
                         Issued::Read { resp } => resp.completion,
                         Issued::Write { done } => done,
                     };
                     finished = finished.max(done);
                     events.push(Reverse((done.max(t), Ev::Done(ch))));
                 }
-                if let Some(next) = result.next_decision {
+                if let Some(next) = next {
                     events.push(Reverse((next.max(t), Ev::Decide(ch))));
                 }
             }

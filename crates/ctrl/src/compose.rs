@@ -14,7 +14,6 @@ use crate::fcfs::FcfsSpec;
 use crate::mapping::{InterleavedSpec, MapperSpec};
 use crate::refresh::{NoRefreshSpec, RefreshSpec, StaggeredSpec};
 use crate::sched::{HitFirstSpec, SchedulerSpec};
-use crate::scrub::{NoScrubSpec, PatrolSpec, ScrubSpec};
 
 /// All registered scheduling policies, in registration order
 /// (`hit-first` first — it is the paper default).
@@ -50,18 +49,6 @@ pub fn refresh_managers() -> &'static Registry<dyn RefreshSpec> {
     })
 }
 
-/// All registered background-scrub policies (`none` is the default —
-/// scrubbing is strictly opt-in).
-pub fn scrub_policies() -> &'static Registry<dyn ScrubSpec> {
-    static REG: OnceLock<Registry<dyn ScrubSpec>> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut r: Registry<dyn ScrubSpec> = Registry::new("scrub policy");
-        r.register("none", &NoScrubSpec);
-        r.register("patrol", &PatrolSpec);
-        r
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,7 +59,6 @@ mod tests {
         assert_eq!(schedulers().names().next(), Some("hit-first"));
         assert_eq!(mappers().names().next(), Some("interleaved"));
         assert_eq!(refresh_managers().names().next(), Some("staggered"));
-        assert_eq!(scrub_policies().names().next(), Some("none"));
     }
 
     #[test]
@@ -88,17 +74,6 @@ mod tests {
         for (_, spec) in refresh_managers().iter() {
             let _ = spec.build(&cfg);
         }
-        for (_, spec) in scrub_policies().iter() {
-            let _ = spec.build(&cfg);
-        }
-    }
-
-    #[test]
-    fn scrub_registry_lists_patrol() {
-        let spec = scrub_policies().get("patrol").expect("registered");
-        assert_eq!(spec.name(), "patrol");
-        assert!(scrub_policies().get("demand").is_none());
-        assert_eq!(scrub_policies().available(), "none|patrol");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod refresh;
 pub mod sched;
 pub mod scrub;
 
-pub use compose::{mappers, refresh_managers, schedulers, scrub_policies};
+pub use compose::{mappers, refresh_managers, schedulers};
 pub use fcfs::{FcfsScheduler, FcfsSpec};
 pub use info_table::{FillOutcome, PrefetchTable};
 pub use mapping::{AddressMapper, InterleavedMapper, InterleavedSpec, MappedAddr, MapperSpec};
@@ -64,7 +64,7 @@ pub use refresh::{
     StaggeredSpec,
 };
 pub use sched::{HitFirstScheduler, HitFirstSpec, SchedClass, SchedulerPolicy, SchedulerSpec};
-pub use scrub::{NoScrub, NoScrubSpec, PatrolScrub, PatrolSpec, ScrubPolicy, ScrubSpec};
+pub use scrub::PatrolScrub;
 
 #[cfg(all(test, feature = "proptest"))]
 mod proptests {

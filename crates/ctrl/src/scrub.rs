@@ -4,75 +4,20 @@
 //! Scrubbing is the repair half of the silent-corruption story: a CRC
 //! escape leaves a line poisoned in DRAM with nobody the wiser, and
 //! only a background sweep (or an overwrite) can make it clean again
-//! before a demand read consumes it. The policy here decides *which*
+//! before a demand read consumes it. [`PatrolScrub`] decides *which*
 //! line to verify and *when*; the memory system executes the sweep as
 //! real traffic (a read, plus a rewrite when the line turns out
 //! poisoned) through the ordinary channel datapath, so its bandwidth
 //! and energy costs are modeled rather than assumed free.
 //!
-//! Policies are deliberately opportunistic: the controller polls them
-//! only at idle decision points, so scrub traffic never displaces a
+//! Patrol is deliberately opportunistic: the controller polls it only
+//! at idle decision points, so scrub traffic never displaces a
 //! schedulable demand access and never creates wake-up events of its
 //! own. A saturated channel therefore scrubs rarely — which is the
 //! real trade-off patrol scrubbing makes.
 
-use fbd_types::config::MemoryConfig;
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;
-
-/// A pluggable background-scrub policy (published by name through
-/// [`crate::scrub_policies`]).
-pub trait ScrubPolicy: Send + std::fmt::Debug {
-    /// Notes a line the controller just serviced on `channel` — the
-    /// candidate pool patrol sweeps walk. Called on the hot path, so
-    /// implementations must be O(1) and allocation-free after warmup.
-    fn observe(&mut self, channel: u32, line: LineAddr);
-
-    /// Asks for a line to scrub on `channel` at an idle decision point.
-    /// `None` means no sweep is due (rate limit, or nothing observed
-    /// yet). A returned line counts as dispatched: the policy advances
-    /// its cursor and rate-limit clock.
-    fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr>;
-}
-
-/// A named, registerable [`ScrubPolicy`] factory (see
-/// [`crate::scrub_policies`] for the registry).
-pub trait ScrubSpec: Send + Sync + std::fmt::Debug {
-    /// Stable registry name (e.g. `patrol`).
-    fn name(&self) -> &'static str;
-    /// One-line human description for listings.
-    fn description(&self) -> &'static str;
-    /// Builds the policy instance for `cfg` (scrub interval, channel
-    /// count, …).
-    fn build(&self, cfg: &MemoryConfig) -> Box<dyn ScrubPolicy>;
-}
-
-/// The do-nothing policy: scrubbing disabled (the default).
-#[derive(Clone, Copy, Debug)]
-pub struct NoScrub;
-
-impl ScrubPolicy for NoScrub {
-    fn observe(&mut self, _channel: u32, _line: LineAddr) {}
-    fn next_scrub(&mut self, _channel: u32, _now: Time) -> Option<LineAddr> {
-        None
-    }
-}
-
-/// Registry entry for [`NoScrub`].
-#[derive(Debug)]
-pub struct NoScrubSpec;
-
-impl ScrubSpec for NoScrubSpec {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn description(&self) -> &'static str {
-        "no background scrubbing (the default)"
-    }
-    fn build(&self, _cfg: &MemoryConfig) -> Box<dyn ScrubPolicy> {
-        Box::new(NoScrub)
-    }
-}
 
 /// Lines each channel's patrol ring remembers. Old entries are
 /// overwritten FIFO; a line evicted before its sweep simply waits for
@@ -125,10 +70,11 @@ impl PatrolScrub {
                 .collect(),
         }
     }
-}
 
-impl ScrubPolicy for PatrolScrub {
-    fn observe(&mut self, channel: u32, line: LineAddr) {
+    /// Notes a line the controller just serviced on `channel` — the
+    /// candidate pool sweeps walk. Called on the hot path: O(1) and
+    /// allocation-free once the ring is full.
+    pub fn observe(&mut self, channel: u32, line: LineAddr) {
         let ch = &mut self.channels[channel as usize];
         if ch.ring.len() < PATROL_RING {
             ch.ring.push(line);
@@ -138,7 +84,11 @@ impl ScrubPolicy for PatrolScrub {
         }
     }
 
-    fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr> {
+    /// Asks for a line to scrub on `channel` at an idle decision point.
+    /// `None` means no sweep is due (rate limit, or nothing observed
+    /// yet). A returned line counts as dispatched: the cursor and the
+    /// rate-limit clock advance.
+    pub fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr> {
         let interval = self.interval;
         let ch = &mut self.channels[channel as usize];
         if ch.ring.is_empty() {
@@ -156,35 +106,9 @@ impl ScrubPolicy for PatrolScrub {
     }
 }
 
-/// Registry entry for [`PatrolScrub`].
-#[derive(Debug)]
-pub struct PatrolSpec;
-
-impl ScrubSpec for PatrolSpec {
-    fn name(&self) -> &'static str {
-        "patrol"
-    }
-    fn description(&self) -> &'static str {
-        "round-robin read-verify-rewrite sweeps over touched lines, rate-limited per channel"
-    }
-    fn build(&self, cfg: &MemoryConfig) -> Box<dyn ScrubPolicy> {
-        Box::new(PatrolScrub::new(
-            cfg.logical_channels,
-            Dur::from_ns(cfg.faults.scrub_interval_ns),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_scrub_never_sweeps() {
-        let mut p = NoScrub;
-        p.observe(0, LineAddr::new(7));
-        assert_eq!(p.next_scrub(0, Time::from_ns(1_000_000)), None);
-    }
 
     #[test]
     fn patrol_waits_for_an_observation() {

@@ -412,9 +412,10 @@ impl FaultMode {
     }
 }
 
-/// Patrol-scrubbing policy selector. Mirrors the
-/// `fbd_ctrl::scrub_policies` registry entries, the way
-/// [`SchedPolicy`] mirrors the scheduler registry.
+/// Background-scrub policy selector: the one place scrub policies are
+/// named. The memory system builds the matching policy from it
+/// (`fbd_ctrl::PatrolScrub` for [`Patrol`](Self::Patrol), nothing for
+/// [`None`](Self::None)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ScrubPolicyKind {
     /// No background scrubbing (the default; zero-cost off path).
@@ -427,17 +428,16 @@ pub enum ScrubPolicyKind {
 }
 
 impl ScrubPolicyKind {
-    /// Resolves a scrub policy by its stable CLI/registry name:
-    /// `none` or `patrol`. Returns `None` for an unknown name.
+    /// Every policy, in CLI listing order.
+    pub const ALL: [ScrubPolicyKind; 2] = [ScrubPolicyKind::None, ScrubPolicyKind::Patrol];
+
+    /// Resolves a scrub policy by its stable CLI name: `none` or
+    /// `patrol`. Returns `None` for an unknown name.
     pub fn by_name(name: &str) -> Option<ScrubPolicyKind> {
-        match name {
-            "none" => Some(ScrubPolicyKind::None),
-            "patrol" => Some(ScrubPolicyKind::Patrol),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// The stable CLI/registry name of this policy.
+    /// The stable CLI name of this policy.
     pub const fn name(self) -> &'static str {
         match self {
             ScrubPolicyKind::None => "none",
@@ -599,18 +599,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// Request-reordering policy at the memory controller.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Hit-first with read priority (the paper's policy, after Rixner
-    /// et al.): row-buffer/AMB-cache hits and ready banks first.
-    #[default]
-    HitFirst,
-    /// First-come first-served within the read/write phases (ablation
-    /// baseline: no locality- or readiness-aware reordering).
-    Fcfs,
-}
-
 /// Which memory technology the channel uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MemoryTech {
@@ -694,8 +682,6 @@ pub struct MemoryConfig {
     /// Reads are scheduled before writes unless this many writes are
     /// pending (hit-first + read-priority policy, paper §4.1).
     pub write_drain_threshold: u32,
-    /// Request-reordering policy (hit-first by default).
-    pub sched_policy: SchedPolicy,
     /// DRAM refresh (off to match the paper).
     pub refresh: RefreshConfig,
     /// Link fault injection (off by default; FB-DIMM only).
@@ -727,7 +713,6 @@ impl MemoryConfig {
             amb_hop_delay: Dur::from_ns(3),
             queue_capacity: 64,
             write_drain_threshold: 16,
-            sched_policy: SchedPolicy::HitFirst,
             refresh: RefreshConfig::off(),
             faults: FaultConfig::off(),
         }
@@ -749,20 +734,6 @@ impl MemoryConfig {
         cfg.amb = AmbPrefetchConfig::paper_default();
         cfg.interleaving = Interleaving::MultiCacheline { lines: 4 };
         cfg
-    }
-
-    /// Resolves a memory subsystem preset by its stable CLI/bench name.
-    /// Deprecated shim: forwards to the substrate registry
-    /// ([`crate::substrate::substrates`]), which also knows the
-    /// extension presets (`fbd-ddr3`, `ddr3-1066`). Returns `None` for
-    /// an unknown name, and warns (once per process) on first use.
-    #[deprecated(
-        since = "0.1.0",
-        note = "select a substrate via fbd_types::substrate::substrates().get(name)"
-    )]
-    pub fn by_name(name: &str) -> Option<MemoryConfig> {
-        crate::substrate::warn_by_name_deprecated();
-        crate::substrate::substrates().get(name).map(|s| s.config())
     }
 
     /// FB-DIMM carrying DDR3-1333 devices (extension; the paper's
@@ -1227,7 +1198,7 @@ mod tests {
 
     #[test]
     fn scrub_policy_names_round_trip() {
-        for kind in [ScrubPolicyKind::None, ScrubPolicyKind::Patrol] {
+        for kind in ScrubPolicyKind::ALL {
             assert_eq!(ScrubPolicyKind::by_name(kind.name()), Some(kind));
         }
         assert_eq!(ScrubPolicyKind::by_name("bogus"), None);

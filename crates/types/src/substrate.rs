@@ -223,18 +223,6 @@ pub fn substrates() -> &'static Registry<dyn Substrate> {
     })
 }
 
-/// Emits the `MemoryConfig::by_name` deprecation warning once per
-/// process (the shim forwards here so migrated code never pays it).
-pub(crate) fn warn_by_name_deprecated() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        eprintln!(
-            "warning: MemoryConfig::by_name is deprecated; select a substrate \
-             via fbd_types::substrate::substrates().get(name)"
-        );
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,10 +265,15 @@ mod tests {
     #[test]
     fn registry_matches_the_legacy_presets() {
         // The four paper systems must resolve to exactly the configs the
-        // old `MemoryConfig::by_name` enum path produced.
-        #[allow(deprecated)]
-        for name in ["ddr2", "fbd", "fbd-ap", "fbd-apfl"] {
-            let legacy = MemoryConfig::by_name(name).unwrap();
+        // `MemoryConfig` preset constructors build.
+        let mut apfl = MemoryConfig::fbdimm_with_prefetch();
+        apfl.amb.mode = AmbPrefetchMode::FullLatency;
+        for (name, legacy) in [
+            ("ddr2", MemoryConfig::ddr2_default()),
+            ("fbd", MemoryConfig::fbdimm_default()),
+            ("fbd-ap", MemoryConfig::fbdimm_with_prefetch()),
+            ("fbd-apfl", apfl),
+        ] {
             let composed = substrates().get(name).unwrap().config();
             assert_eq!(legacy, composed, "preset `{name}` diverged");
         }

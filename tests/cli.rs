@@ -66,17 +66,59 @@ fn list_schedulers_prints_every_registry_entry() {
 
 #[test]
 fn compare_accepts_a_substrate_list_and_rejects_unknown_names() {
-    let path = tmp_path("compare-substrates.json");
+    // `--system` is an exact alias of `--substrate`, list included.
+    for flag in ["--substrate", "--system"] {
+        let path = tmp_path(&format!("compare{flag}.json"));
+        let out = fbdsim(&[
+            "compare",
+            "--workload",
+            "1C-swim",
+            flag,
+            "fbd,fbd-ap",
+            "--budget",
+            "2000",
+            "--stats-json",
+            path.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            exit_code(&out),
+            0,
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&path).expect("stats file written");
+        std::fs::remove_file(&path).ok();
+        let doc = json::parse(&text).expect("well-formed JSON");
+        let points = doc.get("points").and_then(Json::as_array).expect("points");
+        let systems: Vec<&str> = points
+            .iter()
+            .map(|p| p.get("system").and_then(Json::as_str).expect("system"))
+            .collect();
+        assert_eq!(systems, ["fbd", "fbd-ap"]);
+
+        let out = fbdsim(&["compare", "--workload", "1C-swim", flag, "fbd,ddr9"]);
+        assert_eq!(exit_code(&out), 2);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let typed = flag.trim_start_matches('-');
+        assert!(err.contains(&format!("unknown {typed} `ddr9`")), "{err}");
+        assert!(err.contains("available:"), "{err}");
+    }
+}
+
+#[test]
+fn record_and_replay_accept_either_system_spelling() {
+    let path = tmp_path("record-substrate.csv");
+    let trace = path.to_str().unwrap();
     let out = fbdsim(&[
-        "compare",
+        "record",
         "--workload",
         "1C-swim",
         "--substrate",
-        "fbd,fbd-ap",
+        "fbd",
+        "--out",
+        trace,
         "--budget",
         "2000",
-        "--stats-json",
-        path.to_str().unwrap(),
     ]);
     assert_eq!(
         exit_code(&out),
@@ -84,27 +126,20 @@ fn compare_accepts_a_substrate_list_and_rejects_unknown_names() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let text = std::fs::read_to_string(&path).expect("stats file written");
-    std::fs::remove_file(&path).ok();
-    let doc = json::parse(&text).expect("well-formed JSON");
-    let points = doc.get("points").and_then(Json::as_array).expect("points");
-    let systems: Vec<&str> = points
+    let replayed: Vec<String> = ["--system", "--substrate"]
         .iter()
-        .map(|p| p.get("system").and_then(Json::as_str).expect("system"))
+        .map(|flag| {
+            let out = fbdsim(&["replay", "--trace", trace, flag, "fbd-ap"]);
+            assert_eq!(exit_code(&out), 0, "replay {flag}");
+            String::from_utf8(out.stdout).expect("utf-8 report")
+        })
         .collect();
-    assert_eq!(systems, ["fbd", "fbd-ap"]);
-
-    let out = fbdsim(&[
-        "compare",
-        "--workload",
-        "1C-swim",
-        "--substrate",
-        "fbd,ddr9",
-    ]);
+    assert_eq!(replayed[0], replayed[1], "the spellings are exact aliases");
+    let out = fbdsim(&["replay", "--trace", trace, "--system", "ddr9"]);
+    std::fs::remove_file(&path).ok();
     assert_eq!(exit_code(&out), 2);
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown substrate `ddr9`"), "{err}");
-    assert!(err.contains("available:"), "{err}");
+    assert!(err.contains("unknown system `ddr9` (available:"), "{err}");
 }
 
 #[test]

@@ -23,8 +23,9 @@ fn read_req(id: u64, line: u64, at: Time) -> MemRequest {
 
 fn issue_read(mem: &mut MemorySystem, req: MemRequest) -> Time {
     let (ch, ready) = mem.submit(req);
-    let mut result = mem.decide(ch, ready);
-    match result.issued.pop().expect("request must issue") {
+    let mut issued = Vec::new();
+    mem.decide_into(ch, ready, &mut issued);
+    match issued.pop().expect("request must issue") {
         Issued::Read { resp } => resp.completion,
         Issued::Write { .. } => panic!("expected a read"),
     }
@@ -180,7 +181,7 @@ fn write_invalidates_prefetched_copy() {
         Time::from_ns(200),
     );
     let (ch, ready) = mem.submit(wr);
-    mem.decide(ch, ready);
+    mem.decide_into(ch, ready, &mut Vec::new());
     // The next read of line 1 must MISS (fresh DRAM access), not hit.
     let arrival = Time::from_ns(600);
     let completion = issue_read(&mut mem, read_req(2, 1, arrival));

@@ -4,11 +4,11 @@
 //! The registry path must be a pure re-plumbing: selecting a system
 //! through `--substrate` (registry spelling) must produce stats JSON
 //! byte-identical to the historical `--system` spelling on every paper
-//! system, with and without fault injection; the registry-composed
-//! FCFS scheduler must reproduce the legacy `SchedPolicy::Fcfs` enum
-//! results exactly; and the extension entries (`ddr3-1066`, `fcfs`)
-//! must be reachable by name only, with their names echoed in the
-//! stats document's composition metadata.
+//! system, with and without fault injection, on `run` and `profile`;
+//! the registry-selected FCFS scheduler must observably differ from
+//! the default hit-first policy; and the extension entries
+//! (`ddr3-1066`, `fcfs`) must be reachable by name only, with their
+//! names echoed in the stats document's composition metadata.
 //!
 //! The event wheel must likewise be a pure re-plumbing of the event
 //! queue: every run under the default calendar queue must produce
@@ -21,7 +21,6 @@ use std::process::{Command, Output};
 
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::{json, Json};
-use fbd_types::config::SchedPolicy;
 use fbd_types::substrate::substrates;
 
 const BUDGET: &str = "5000";
@@ -63,19 +62,25 @@ fn strip_host(text: &str) -> String {
     doc.to_json_pretty(2)
 }
 
-/// Runs `fbdsim run` selecting `system` through `flag` (`--system` or
-/// `--substrate`) with `envs` set, and returns the pretty-printed
-/// stats JSON bytes with the wall-clock-bearing `host` object
-/// stripped.
-fn stats_via_env(flag: &str, system: &str, extra: &[&str], envs: &[(&str, &str)]) -> String {
+/// Runs `fbdsim <cmd>` (`run` or `profile`) selecting `system` through
+/// `flag` (`--system` or `--substrate`) with `envs` set, and returns
+/// the pretty-printed stats JSON bytes with the wall-clock-bearing
+/// `host` object stripped.
+fn stats_via_env(
+    cmd: &str,
+    flag: &str,
+    system: &str,
+    extra: &[&str],
+    envs: &[(&str, &str)],
+) -> String {
     let tag = envs.iter().map(|(_, v)| *v).collect::<Vec<_>>().join("-");
     let path = tmp_path(&format!(
-        "{}-{system}-{tag}.json",
+        "{cmd}-{}-{system}-{tag}.json",
         flag.trim_start_matches('-')
     ));
     let path_s = path.to_str().unwrap().to_string();
     let mut args = vec![
-        "run",
+        cmd,
         "--workload",
         "1C-swim",
         flag,
@@ -102,19 +107,20 @@ fn stats_via_env(flag: &str, system: &str, extra: &[&str], envs: &[(&str, &str)]
     strip_host(&text)
 }
 
-/// [`stats_via_env`] with no environment overrides.
+/// [`stats_via_env`] on `run` with no environment overrides.
 fn stats_via(flag: &str, system: &str, extra: &[&str]) -> String {
-    stats_via_env(flag, system, extra, &[])
+    stats_via_env("run", flag, system, extra, &[])
 }
 
 #[test]
 fn substrate_flag_is_byte_identical_to_system_flag_on_all_paper_systems() {
-    for system in ["ddr2", "fbd", "fbd-ap", "fbd-apfl"] {
-        let old = stats_via("--system", system, &[]);
-        let new = stats_via("--substrate", system, &[]);
+    let runs = ["ddr2", "fbd", "fbd-ap", "fbd-apfl"].map(|s| ("run", s));
+    for (cmd, system) in runs.into_iter().chain([("profile", "fbd-ap")]) {
+        let old = stats_via_env(cmd, "--system", system, &[], &[]);
+        let new = stats_via_env(cmd, "--substrate", system, &[], &[]);
         assert_eq!(
             old, new,
-            "`--substrate {system}` diverged from `--system {system}`"
+            "`{cmd} --substrate {system}` diverged from `--system {system}`"
         );
         // The parity is not vacuous: the document names the substrate.
         let doc = json::parse(&old).expect("well-formed stats JSON");
@@ -217,8 +223,8 @@ fn explicit_default_scheduler_is_byte_identical_to_none() {
     );
 }
 
-/// The scalar results that must agree between the legacy enum path and
-/// the registry path (RunResult has no blanket equality).
+/// The scalar results that tell two scheduling policies apart
+/// (RunResult has no blanket equality).
 fn fingerprint(r: &RunResult) -> (f64, Vec<f64>, u64, u64, u64, f64) {
     (
         r.elapsed.as_ns_f64(),
@@ -231,7 +237,7 @@ fn fingerprint(r: &RunResult) -> (f64, Vec<f64>, u64, u64, u64, f64) {
 }
 
 #[test]
-fn registry_fcfs_reproduces_the_legacy_enum_policy() {
+fn registry_fcfs_differs_from_hit_first() {
     // A four-core mix keeps the transaction queue deep enough that
     // hit-first actually reorders (a 1-core stream rarely gives the
     // scheduler more than one ready candidate).
@@ -242,21 +248,11 @@ fn registry_fcfs_reproduces_the_legacy_enum_policy() {
             .budget(20_000)
             .seed(42)
     };
-    let mut legacy_spec = base();
-    legacy_spec.system_mut().mem.sched_policy = SchedPolicy::Fcfs;
-    let legacy = legacy_spec.run();
-    let composed = base().try_scheduler("fcfs").expect("registered").run();
-    assert_eq!(
-        fingerprint(&legacy),
-        fingerprint(&composed),
-        "registry-selected fcfs diverged from the SchedPolicy::Fcfs enum"
-    );
-    // And the policies genuinely differ from the default, so the
-    // comparison above cannot pass by accident.
+    let fcfs = base().try_scheduler("fcfs").expect("registered").run();
     let hit_first = base().run();
     assert_ne!(
         fingerprint(&hit_first),
-        fingerprint(&legacy),
+        fingerprint(&fcfs),
         "fcfs and hit-first must be observably different policies"
     );
 }
@@ -322,6 +318,20 @@ fn unknown_registry_names_exit_2_with_the_available_list() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown scheduler `elevator`"), "{err}");
     assert!(err.contains("hit-first|fcfs"), "{err}");
+
+    let out = fbdsim(&[
+        "run",
+        "--workload",
+        "1C-swim",
+        "--system",
+        "fbd",
+        "--scrub",
+        "demand",
+    ]);
+    assert_eq!(exit_code(&out), 2);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown scrub policy `demand`"), "{err}");
+    assert!(err.contains("none|patrol"), "{err}");
 }
 
 const WHEEL: &[(&str, &str)] = &[("FBD_EVENT_QUEUE", "wheel")];
@@ -330,8 +340,8 @@ const HEAP: &[(&str, &str)] = &[("FBD_EVENT_QUEUE", "heap")];
 #[test]
 fn event_wheel_is_byte_identical_to_seed_heap_on_all_paper_systems() {
     for system in ["ddr2", "fbd", "fbd-ap", "fbd-apfl"] {
-        let wheel = stats_via_env("--system", system, &[], WHEEL);
-        let heap = stats_via_env("--system", system, &[], HEAP);
+        let wheel = stats_via_env("run", "--system", system, &[], WHEEL);
+        let heap = stats_via_env("run", "--system", system, &[], HEAP);
         assert_eq!(
             wheel, heap,
             "event wheel diverged from the seed heap on `{system}`"
@@ -345,8 +355,8 @@ fn event_wheel_heap_parity_holds_under_fault_injection() {
     // ReadDone orderings and redundant Decide wakeups — exactly where
     // the wheel's dedup could go wrong).
     let faults = ["--fault-ber", "1e-5", "--fault-seed", "3"];
-    let wheel = stats_via_env("--system", "fbd-ap", &faults, WHEEL);
-    let heap = stats_via_env("--system", "fbd-ap", &faults, HEAP);
+    let wheel = stats_via_env("run", "--system", "fbd-ap", &faults, WHEEL);
+    let heap = stats_via_env("run", "--system", "fbd-ap", &faults, HEAP);
     assert_eq!(wheel, heap, "faulted run diverged between queue kinds");
     let doc = json::parse(&wheel).expect("well-formed stats JSON");
     assert!(doc.get("errors").is_some(), "faulted run reports errors");
@@ -369,8 +379,8 @@ fn event_wheel_heap_parity_holds_with_recovery_traffic() {
         "--reissue",
         "8",
     ];
-    let wheel = stats_via_env("--system", "fbd-ap", &flags, WHEEL);
-    let heap = stats_via_env("--system", "fbd-ap", &flags, HEAP);
+    let wheel = stats_via_env("run", "--system", "fbd-ap", &flags, WHEEL);
+    let heap = stats_via_env("run", "--system", "fbd-ap", &flags, HEAP);
     assert_eq!(wheel, heap, "recovery traffic diverged between queues");
 }
 
@@ -380,8 +390,8 @@ fn event_wheel_heap_parity_holds_through_fast_fidelity() {
     // simulator on anchor points; those anchor runs must land on the
     // same numbers under either queue.
     let fast = ["--fidelity", "fast"];
-    let wheel = stats_via_env("--system", "fbd", &fast, WHEEL);
-    let heap = stats_via_env("--system", "fbd", &fast, HEAP);
+    let wheel = stats_via_env("run", "--system", "fbd", &fast, WHEEL);
+    let heap = stats_via_env("run", "--system", "fbd", &fast, HEAP);
     assert_eq!(
         wheel, heap,
         "fast-fidelity run diverged between queue kinds"

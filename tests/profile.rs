@@ -208,18 +208,19 @@ fn channel_writes_equal_summed_dimm_col_writes() {
             let (ch, ready) = mem.submit(req);
             events.push(Reverse((ready, Ev::Decide(ch))));
         }
+        let mut issued = Vec::new();
         while let Some(Reverse((t, ev))) = events.pop() {
             match ev {
                 Ev::Decide(ch) => {
-                    let result = mem.decide(ch, t);
-                    for issued in result.issued {
-                        let done = match issued {
+                    let next = mem.decide_into(ch, t, &mut issued);
+                    for tx in issued.drain(..) {
+                        let done = match tx {
                             Issued::Read { resp } => resp.completion,
                             Issued::Write { done } => done,
                         };
                         events.push(Reverse((done.max(t), Ev::Done(ch))));
                     }
-                    if let Some(next) = result.next_decision {
+                    if let Some(next) = next {
                         events.push(Reverse((next.max(t), Ev::Decide(ch))));
                     }
                 }
