@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the simulator's hot paths: address
-//! mapping, AMB-cache operations, scheduler picks, DRAM plan/commit and
-//! a short end-to-end run. These track the *simulator's* performance
-//! (simulation throughput), complementing the figure benches that track
-//! the *simulated system's* performance.
+//! mapping, AMB-cache operations, scheduler picks, DRAM plan/commit, the
+//! data-bus gap search, link timeline reservations and a short end-to-end
+//! run. These track the *simulator's* performance (simulation
+//! throughput), complementing the figure benches that track the
+//! *simulated system's* performance.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -64,6 +65,32 @@ fn bench_dram_plan_commit(c: &mut Criterion) {
     });
 }
 
+/// `DataBus::earliest_fit` at the occupancy a busy DIMM reaches: 6 ns
+/// bursts every 12 ns in alternating directions over twice the 5 µs
+/// prune window, so the bus holds a full window of history. One search
+/// starts at the newest burst, the other in a gap 2.5 µs back.
+fn bench_bus_earliest_fit(c: &mut Criterion) {
+    use fbd_dram::ColKind;
+    let mut bus = fbd_dram::DataBus::new(Dur::from_ns(3));
+    let mut newest = Time::ZERO;
+    for i in 0..834u64 {
+        let dir = if i % 2 == 0 {
+            ColKind::Read
+        } else {
+            ColKind::Write
+        };
+        newest = Time::from_ns(i * 12);
+        bus.commit(dir, newest, newest + Dur::from_ns(6));
+    }
+    let old_gap = Time::from_ps(newest.as_ps() - 2_500_000);
+    c.bench_function("dram/bus_earliest_fit_newest", |b| {
+        b.iter(|| black_box(bus.earliest_fit(ColKind::Read, black_box(newest), Dur::from_ns(6))))
+    });
+    c.bench_function("dram/bus_earliest_fit_old_gap", |b| {
+        b.iter(|| black_box(bus.earliest_fit(ColKind::Read, black_box(old_gap), Dur::from_ns(3))))
+    });
+}
+
 fn bench_timeline(c: &mut Criterion) {
     c.bench_function("link/timeline_reserve", |b| {
         let mut tl = fbd_link::Timeline::new(Dur::from_ns(3));
@@ -117,6 +144,7 @@ criterion_group!(
     bench_mapping,
     bench_amb_cache,
     bench_dram_plan_commit,
+    bench_bus_earliest_fit,
     bench_timeline,
     bench_full_system
 );

@@ -18,6 +18,16 @@
 //! (one `DataBus` per channel). The scope is chosen by the caller, which
 //! is exactly the bandwidth asymmetry the paper's AMB prefetching
 //! exploits.
+//!
+//! Scheduled bursts are kept sorted by start and pairwise disjoint, so
+//! their ends are strictly increasing. A burst moves a candidate start
+//! only if it ends less than its turnaround bubble before it, and the
+//! largest bubble is one clock (a direction change). The bursts with
+//! `end + clock <= start` therefore cannot affect a search and form a
+//! prefix of the deque: [`DataBus::earliest_fit`] binary-searches past
+//! it, and [`DataBus::commit`] binary-searches its insert slot. A margin
+//! smaller than the full clock would skip an opposite-direction burst
+//! that still pushes the start back.
 
 use std::collections::VecDeque;
 
@@ -79,8 +89,10 @@ impl DataBus {
     pub fn earliest_fit(&self, dir: ColKind, desired: Time, len: Dur) -> Time {
         assert!(!len.is_zero(), "burst length must be non-zero");
         let mut start = desired.max(self.horizon);
-        for i in 0..self.bursts.len() {
-            let (b_start, b_end, b_dir) = self.bursts[i];
+        let first = self
+            .bursts
+            .partition_point(|&(_, b_end, _)| b_end + self.clock <= start);
+        for &(b_start, b_end, b_dir) in self.bursts.range(first..) {
             // Room before this burst (respecting its turnaround bubble)?
             if start + len + self.bubble(dir, b_dir) <= b_start {
                 return start;
@@ -92,14 +104,6 @@ impl DataBus {
             }
         }
         start
-    }
-
-    /// Backwards-compatible probe: earliest start of a burst in `dir`
-    /// wanting to start at `desired` (uses the following gap only, so a
-    /// fit is guaranteed for any length at the returned time only if the
-    /// caller re-validates with [`earliest_fit`](Self::earliest_fit)).
-    pub fn earliest_start(&self, dir: ColKind, desired: Time) -> Time {
-        self.earliest_fit(dir, desired, self.clock)
     }
 
     /// Records a committed burst occupying `[start, end)`.
@@ -115,11 +119,7 @@ impl DataBus {
             self.earliest_fit(dir, start, end - start) == start,
             "data burst overlaps another or violates turnaround"
         );
-        let idx = self
-            .bursts
-            .iter()
-            .position(|&(s, _, _)| s > start)
-            .unwrap_or(self.bursts.len());
+        let idx = self.bursts.partition_point(|&(s, _, _)| s <= start);
         self.bursts.insert(idx, (start, end, dir));
         self.busy += end - start;
         // Prune bursts too old to matter.
@@ -241,5 +241,136 @@ mod tests {
             b.commit(ColKind::Read, t, t + Dur::from_ns(6));
         }
         assert!(b.bursts.len() < 1_000, "burst list grew unboundedly");
+    }
+
+    #[test]
+    fn search_skips_only_bursts_a_full_clock_behind() {
+        let mut b = bus();
+        b.commit(ColKind::Read, Time::from_ns(10), Time::from_ns(16));
+        // Opposite direction, ending exactly one clock before `desired`:
+        // its bubble ends at `desired`, so it does not move the start.
+        assert_eq!(
+            b.earliest_fit(ColKind::Write, Time::from_ns(19), Dur::from_ns(6)),
+            Time::from_ns(19)
+        );
+        // Opposite direction, ending exactly at `desired`: the bubble
+        // still pushes the start a clock later.
+        assert_eq!(
+            b.earliest_fit(ColKind::Write, Time::from_ns(16), Dur::from_ns(6)),
+            Time::from_ns(19)
+        );
+        // One picosecond inside the bubble is pushed too.
+        assert_eq!(
+            b.earliest_fit(ColKind::Write, Time::from_ps(18_999), Dur::from_ns(6)),
+            Time::from_ns(19)
+        );
+        // The same direction needs no bubble.
+        assert_eq!(
+            b.earliest_fit(ColKind::Read, Time::from_ns(16), Dur::from_ns(6)),
+            Time::from_ns(16)
+        );
+    }
+
+    /// Reference bus: every search and insert scans linearly from the
+    /// oldest retained burst.
+    struct LinearBus {
+        clock: Dur,
+        bursts: VecDeque<(Time, Time, ColKind)>,
+        horizon: Time,
+    }
+
+    impl LinearBus {
+        fn earliest_fit(&self, dir: ColKind, desired: Time, len: Dur) -> Time {
+            let bubble = |n: ColKind| if n == dir { Dur::ZERO } else { self.clock };
+            let mut start = desired.max(self.horizon);
+            for &(b_start, b_end, b_dir) in &self.bursts {
+                if start + len + bubble(b_dir) <= b_start {
+                    return start;
+                }
+                start = start.max(b_end + bubble(b_dir));
+            }
+            start
+        }
+
+        fn commit(&mut self, dir: ColKind, start: Time, end: Time) {
+            let idx = self
+                .bursts
+                .iter()
+                .position(|&(s, _, _)| s > start)
+                .unwrap_or(self.bursts.len());
+            self.bursts.insert(idx, (start, end, dir));
+            let cutoff = Time::from_ps(start.as_ps().saturating_sub(PRUNE_WINDOW.as_ps()));
+            while let Some(&(_, e, _)) = self.bursts.front() {
+                if e > cutoff {
+                    break;
+                }
+                self.horizon = self.horizon.max(e);
+                self.bursts.pop_front();
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the differential
+    /// test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn binary_search_matches_linear_scan() {
+        let clock = Dur::from_ns(3);
+        let mut fast = DataBus::new(clock);
+        let mut slow = LinearBus {
+            clock,
+            bursts: VecDeque::new(),
+            horizon: Time::ZERO,
+        };
+        let mut rng = 0xB05_0013_u64;
+        let mut now = 0u64; // ps
+        let mut longest = 0;
+        for op in 0..6_000 {
+            now += splitmix(&mut rng) % 30_000;
+            let r = splitmix(&mut rng);
+            // Mostly near-time bursts, some far behind (gap filling and
+            // the prune horizon) and some well ahead (future gaps). Off
+            // clock-edge requests land inside turnaround bubbles.
+            let mut desired = match r % 8 {
+                0 => now.saturating_sub(splitmix(&mut rng) % 7_000_000),
+                1 => now + splitmix(&mut rng) % 600_000,
+                _ => now.saturating_sub(splitmix(&mut rng) % 200_000),
+            };
+            if r & 0x100 == 0 {
+                desired -= desired % clock.as_ps();
+            }
+            let desired = Time::from_ps(desired);
+            let dir = if r & 0x200 == 0 {
+                ColKind::Read
+            } else {
+                ColKind::Write
+            };
+            let len = clock * (1 + (r >> 12) % 4);
+            let expected = slow.earliest_fit(dir, desired, len);
+            assert_eq!(fast.earliest_fit(dir, desired, len), expected, "fit #{op}");
+            if (r >> 16) % 3 < 2 {
+                fast.commit(dir, expected, expected + len);
+                slow.commit(dir, expected, expected + len);
+            }
+            longest = longest.max(fast.bursts.len());
+            assert_eq!(fast.bursts.len(), slow.bursts.len(), "after op #{op}");
+        }
+        assert_eq!(fast.bursts, slow.bursts);
+        assert_eq!(fast.horizon, slow.horizon);
+        assert!(
+            now > 4 * PRUNE_WINDOW.as_ps(),
+            "spans several prune windows"
+        );
+        assert!(
+            fast.horizon > Time::ZERO && longest > 50,
+            "deque peaked at {longest}"
+        );
     }
 }

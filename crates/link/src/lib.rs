@@ -44,10 +44,11 @@ mod proptests {
 
     proptest! {
         /// Reservations never overlap and never precede their request
-        /// time, for arbitrary request patterns.
+        /// time, for arbitrary request patterns. The requests span up to
+        /// 20 µs, several times the timeline's 5 µs prune window.
         #[test]
         fn timeline_reservations_are_disjoint(
-            reqs in proptest::collection::vec((0u64..2_000, 1u64..10), 1..80)
+            reqs in proptest::collection::vec((0u64..20_000, 1u64..10), 1..400)
         ) {
             let clock = Dur::from_ns(3);
             let mut tl = Timeline::new(clock);

@@ -5,6 +5,15 @@
 //! to clock edges, filling gaps left by earlier reservations (a short
 //! command can slip between two long data transfers, which is exactly
 //! how the FB-DIMM southbound link interleaves commands and write data).
+//!
+//! The busy intervals are kept sorted by start and pairwise disjoint, with
+//! a gap between any two neighbours (touching ones are merged). Their ends
+//! are therefore strictly increasing too, so the intervals that end at or
+//! before a search's start — none of which can move it — form a prefix of
+//! the deque. [`Timeline::probe`] binary-searches past that prefix, and
+//! inserting a reservation binary-searches its slot and merges only with
+//! its two neighbours, so neither starts its walk at the oldest retained
+//! interval.
 
 use std::collections::VecDeque;
 
@@ -69,7 +78,8 @@ impl Timeline {
     pub fn probe(&self, not_before: Time, duration: Dur) -> Time {
         assert!(!duration.is_zero(), "reservation must be non-zero");
         let mut start = not_before.max(self.horizon).align_up(self.clock);
-        for &(b_start, b_end) in &self.busy {
+        let first = self.busy.partition_point(|&(_, b_end)| b_end <= start);
+        for &(b_start, b_end) in self.busy.range(first..) {
             if start + duration <= b_start {
                 break; // fits in the gap before this interval
             }
@@ -113,15 +123,13 @@ impl Timeline {
 
     fn insert(&mut self, start: Time, end: Time) {
         // Find insertion point keeping the deque sorted by start.
-        let idx = self
-            .busy
-            .iter()
-            .position(|&(s, _)| s > start)
-            .unwrap_or(self.busy.len());
+        let idx = self.busy.partition_point(|&(s, _)| s <= start);
         self.busy.insert(idx, (start, end));
-        // Merge adjacent/contiguous neighbours to bound the deque length.
+        // Merge contiguous neighbours to bound the deque length. Every
+        // other adjacent pair was already apart, so the pass stops once it
+        // has passed the new interval's right neighbour.
         let mut i = idx.saturating_sub(1);
-        while i + 1 < self.busy.len() {
+        while i <= idx && i + 1 < self.busy.len() {
             let (s1, e1) = self.busy[i];
             let (s2, e2) = self.busy[i + 1];
             debug_assert!(e1 <= s2 || s1 == s2, "overlapping reservations");
@@ -247,5 +255,138 @@ mod tests {
         // Reservations far in the past get bumped to the horizon, never lost.
         let start = t.reserve(Time::ZERO, Dur::from_ns(3));
         assert!(start >= t.horizon);
+    }
+
+    #[test]
+    fn interval_ending_at_the_start_does_not_move_it() {
+        let mut t = tl();
+        t.reserve(Time::ZERO, Dur::from_ns(6)); // [0,6)
+        t.reserve(Time::from_ns(12), Dur::from_ns(6)); // [12,18)
+        assert_eq!(t.probe(Time::from_ns(6), Dur::from_ns(6)), Time::from_ns(6));
+        assert_eq!(t.probe(Time::from_ns(5), Dur::from_ns(6)), Time::from_ns(6));
+        assert_eq!(
+            t.probe(Time::from_ns(18), Dur::from_ns(3)),
+            Time::from_ns(18)
+        );
+        assert_eq!(
+            t.probe(Time::from_ns(9), Dur::from_ns(6)),
+            Time::from_ns(18)
+        );
+    }
+
+    /// Reference timeline: every search and insert scans linearly from
+    /// the oldest retained interval, and every insert merges to the tail.
+    struct LinearTimeline {
+        clock: Dur,
+        busy: VecDeque<(Time, Time)>,
+        horizon: Time,
+    }
+
+    impl LinearTimeline {
+        fn probe(&self, not_before: Time, duration: Dur) -> Time {
+            let mut start = not_before.max(self.horizon).align_up(self.clock);
+            for &(b_start, b_end) in &self.busy {
+                if start + duration <= b_start {
+                    break;
+                }
+                if start < b_end {
+                    start = b_end.align_up(self.clock);
+                }
+            }
+            start
+        }
+
+        fn reserve_at(&mut self, start: Time, duration: Dur) {
+            let idx = self
+                .busy
+                .iter()
+                .position(|&(s, _)| s > start)
+                .unwrap_or(self.busy.len());
+            self.busy.insert(idx, (start, start + duration));
+            let mut i = idx.saturating_sub(1);
+            while i + 1 < self.busy.len() {
+                let (s1, e1) = self.busy[i];
+                let (s2, e2) = self.busy[i + 1];
+                if e1 >= s2 {
+                    self.busy[i] = (s1, e1.max(e2));
+                    self.busy.remove(i + 1);
+                } else {
+                    i += 1;
+                }
+            }
+            let cutoff = Time::from_ps(start.as_ps().saturating_sub(PRUNE_WINDOW.as_ps()));
+            while let Some(&(_, end)) = self.busy.front() {
+                if end > cutoff {
+                    break;
+                }
+                self.horizon = self.horizon.max(end);
+                self.busy.pop_front();
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream for the differential
+    /// tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn binary_search_matches_linear_scan() {
+        let clock = Dur::from_ns(3);
+        let mut fast = Timeline::new(clock);
+        let mut slow = LinearTimeline {
+            clock,
+            busy: VecDeque::new(),
+            horizon: Time::ZERO,
+        };
+        let mut rng = 0x5EED_0013_u64;
+        let mut now = 0u64; // ps
+        let mut longest = 0;
+        for op in 0..6_000 {
+            now += splitmix(&mut rng) % 30_000;
+            let r = splitmix(&mut rng);
+            // Mostly near-time requests, some far behind (gap filling and
+            // the prune horizon) and some well ahead (future gaps).
+            let nb = match r % 8 {
+                0 => now.saturating_sub(splitmix(&mut rng) % 7_000_000),
+                1 => now + splitmix(&mut rng) % 600_000,
+                _ => now.saturating_sub(splitmix(&mut rng) % 200_000),
+            };
+            let not_before = Time::from_ps(nb);
+            let duration = clock * (1 + (r >> 8) % 6);
+            let expected = slow.probe(not_before, duration);
+            match (r >> 16) % 3 {
+                0 => assert_eq!(fast.probe(not_before, duration), expected, "probe #{op}"),
+                1 => {
+                    assert_eq!(
+                        fast.reserve(not_before, duration),
+                        expected,
+                        "reserve #{op}"
+                    );
+                    slow.reserve_at(expected, duration);
+                }
+                _ => {
+                    fast.reserve_at(expected, duration);
+                    slow.reserve_at(expected, duration);
+                }
+            }
+            longest = longest.max(fast.busy.len());
+            assert_eq!(fast.busy.len(), slow.busy.len(), "after op #{op}");
+        }
+        assert_eq!(fast.busy, slow.busy);
+        assert_eq!(fast.horizon, slow.horizon);
+        assert!(
+            now > 4 * PRUNE_WINDOW.as_ps(),
+            "spans several prune windows"
+        );
+        assert!(
+            fast.horizon > Time::ZERO && longest > 50,
+            "deque peaked at {longest}"
+        );
     }
 }
