@@ -96,21 +96,37 @@ impl<T: Ord + Copy> EventWheel<T> {
     /// already in its bucket absorbs the push by incrementing its count
     /// instead of storing a second entry.
     pub fn push(&mut self, at: Time, ev: T, dedup: bool) {
+        self.insert(at, ev, 1, dedup);
+    }
+
+    /// Queues `n` identical deduped pushes of `ev` at `at` in one call:
+    /// the same queue state as `n` calls to [`push`](Self::push) with
+    /// `dedup`. In the window the count adds to the entry's
+    /// multiplicity; beyond it, `n` copies wait in the overflow heap
+    /// and merge when re-bucketed.
+    pub fn push_n(&mut self, at: Time, ev: T, n: u32) {
+        self.insert(at, ev, n, true);
+    }
+
+    fn insert(&mut self, at: Time, ev: T, n: u32, dedup: bool) {
+        debug_assert!(n > 0, "an entry stands for at least one push");
         let abs = Self::abs_slot(at);
         debug_assert!(abs >= self.cursor, "event scheduled before the cursor");
         if abs >= self.wbase + SLOTS as u64 {
-            self.overflow.push(Reverse((at, ev)));
+            for _ in 0..n {
+                self.overflow.push(Reverse((at, ev)));
+            }
             return;
         }
         let idx = (abs & SLOT_MASK) as usize;
         let slot = &mut self.slots[idx];
         if dedup {
             if let Some(e) = slot.iter_mut().find(|e| e.0 == at && e.1 == ev) {
-                e.2 += 1;
+                e.2 += n;
                 return;
             }
         }
-        slot.push((at, ev, 1));
+        slot.push((at, ev, n));
         self.len += 1;
         self.occ[idx >> 6] |= 1u64 << (idx & 63);
     }
@@ -218,6 +234,20 @@ impl<T: Ord + Copy> EventQueue<T> {
         }
     }
 
+    /// Queues `n` identical deduped pushes of `ev` at `at`: one
+    /// multiplicity-`n` entry (or an increment of an existing one) on
+    /// the wheel, `n` separate copies on the heap.
+    pub fn push_n(&mut self, at: Time, ev: T, n: u32) {
+        match self {
+            EventQueue::Wheel(w) => w.push_n(at, ev, n),
+            EventQueue::Heap(h) => {
+                for _ in 0..n {
+                    h.push(Reverse((at, ev)));
+                }
+            }
+        }
+    }
+
     /// Pops the minimum `(Time, T)` entry and the number of times its
     /// handler must run (> 1 only for deduped wheel entries).
     pub fn pop(&mut self) -> Option<(Time, T, u32)> {
@@ -265,11 +295,60 @@ mod tests {
         }
         let mut wheel = EventQueue::Wheel(EventWheel::new());
         let mut heap = EventQueue::<u32>::Heap(BinaryHeap::new());
-        for &(ps, ev) in &evs {
+        for (i, &(ps, ev)) in evs.iter().enumerate() {
             wheel.push(t(ps), ev, false);
             heap.push(t(ps), ev, false);
+            if i % 7 == 0 {
+                // Multiplicity pushes, landing on entries that already
+                // exist and (for far times) in the overflow heap.
+                let n = 1 + (i % 4) as u32;
+                wheel.push_n(t(ps), ev, n);
+                heap.push_n(t(ps), ev, n);
+            }
         }
         assert_eq!(drain(&mut wheel), drain(&mut heap));
+    }
+
+    #[test]
+    fn push_n_merges_into_an_existing_dedup_entry() {
+        let mut w = EventWheel::new();
+        w.push(t(777), 5u32, true);
+        w.push_n(t(777), 5, 3);
+        w.push(t(777), 5, true);
+        w.push_n(t(777), 6, 2); // different event: its own entry
+        assert_eq!(w.pop(), Some((t(777), 5, 5)));
+        assert_eq!(w.pop(), Some((t(777), 6, 2)));
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn push_n_beyond_the_window_merges_when_rebucketed() {
+        let mut w = EventWheel::new();
+        w.push(t(1_000), 1u32, false);
+        // Far beyond the initial window: `n` copies go to the overflow
+        // heap and must come back as one entry with the summed count.
+        w.push_n(t(100_000_000), 9, 3);
+        w.push(t(100_000_000), 9, true);
+        w.push_n(t(100_000_001), 9, 2);
+        assert_eq!(w.pop(), Some((t(1_000), 1, 1)));
+        assert_eq!(w.pop(), Some((t(100_000_000), 9, 4)));
+        // Once the window has advanced, a push_n lands in the ring and
+        // merges with the re-bucketed entry directly.
+        w.push_n(t(100_000_001), 9, 1);
+        assert_eq!(w.pop(), Some((t(100_000_001), 9, 3)));
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn heap_push_n_pops_n_identical_entries() {
+        let mut h = EventQueue::<u32>::Heap(BinaryHeap::new());
+        h.push_n(t(500), 7, 3);
+        h.push(t(400), 8, true);
+        assert_eq!(h.pop(), Some((t(400), 8, 1)));
+        for _ in 0..3 {
+            assert_eq!(h.pop(), Some((t(500), 7, 1)));
+        }
+        assert_eq!(h.pop(), None);
     }
 
     #[test]

@@ -892,7 +892,8 @@ impl MemorySystem {
             self.host.mark_sampled(Phase::Controller);
             return None;
         }
-        let Some(id) = self.pick_for(ch, now) else {
+        let next_ready = self.gather(ch, now);
+        let Some(id) = self.pick_gathered(ch, now) else {
             // The channel has an idle slot: recovery work (a prefetch
             // re-issue, then a due scrub sweep) may claim it. Demand
             // traffic always won the pick above, so recovery never
@@ -905,16 +906,8 @@ impl MemorySystem {
             }
             // Nothing ready now; maybe a queued transaction becomes
             // schedulable later (spilled ones re-enter via the queue).
-            let overhead = self.cfg.controller_overhead;
-            let next = self
-                .queue
-                .iter()
-                .filter(|e| e.mapped.channel == ch)
-                .map(|e| e.req.arrival + overhead)
-                .filter(|t| *t > now)
-                .min();
             self.host.mark_sampled(Phase::Controller);
-            return next;
+            return next_ready;
         };
         let entry = self.queue.remove(id).expect("picked entry exists");
         self.drain_spill();
@@ -930,7 +923,8 @@ impl MemorySystem {
         // controller's command scheduler achieves).
         if first_is_write && self.cfg.tech == MemoryTech::Ddr2 {
             while self.channels[ch as usize].inflight < MAX_INFLIGHT_PER_CHANNEL {
-                let Some(nid) = self.pick_for(ch, now) else {
+                self.gather(ch, now);
+                let Some(nid) = self.pick_gathered(ch, now) else {
                     break;
                 };
                 let next_entry = self.queue.remove(nid).expect("picked entry exists");
@@ -948,66 +942,85 @@ impl MemorySystem {
         Some(self.next_slot(ch, now))
     }
 
-    /// Applies the channel's scheduling policy to its ready transactions.
-    fn pick_for(&mut self, ch: u32, now: Time) -> Option<fbd_types::RequestId> {
+    /// One walk over channel `ch`'s queued transactions: copies the
+    /// schedulable ones into `cand_buf` (in queue order) and returns the
+    /// earliest instant after `now` at which another becomes
+    /// schedulable. An idle decision costs exactly this walk.
+    fn gather(&mut self, ch: u32, now: Time) -> Option<Time> {
         let overhead = self.cfg.controller_overhead;
-        let ready = |e: &QueueEntry| e.mapped.channel == ch && e.req.arrival + overhead <= now;
-        {
-            let table = self.table.as_ref();
-            let channels = &self.channels;
-            // Bank-readiness window: a bank that can accept an ACT soon
-            // keeps the data bus busy; one deep in its tRC/precharge
-            // window would stall it.
-            let slack = self.clock * 2;
-            let mut classify = |e: &QueueEntry| -> SchedClass {
-                if e.req.kind.is_read() {
-                    if let Some(t) = table {
-                        if t.would_hit(ch, e.mapped.dimm, e.req.line) {
-                            return SchedClass::Hit;
-                        }
+        self.cand_buf.clear();
+        let mut next_ready: Option<Time> = None;
+        for e in self.queue.iter().filter(|e| e.mapped.channel == ch) {
+            let ready = e.req.arrival + overhead;
+            if ready <= now {
+                self.cand_buf.push(*e);
+            } else if next_ready.is_none_or(|t| ready < t) {
+                next_ready = Some(ready);
+            }
+        }
+        next_ready
+    }
+
+    /// Applies the channel's scheduling policy to the candidates
+    /// [`gather`](Self::gather) collected; `None` (without running the
+    /// policy) when there are none. The policy contract — `pick` returns
+    /// `Some` for every non-empty slice — makes `None` mean "nothing
+    /// ready", which the idle-rerun fold in `System::run` relies on.
+    fn pick_gathered(&mut self, ch: u32, now: Time) -> Option<fbd_types::RequestId> {
+        if self.cand_buf.is_empty() {
+            return None;
+        }
+        let table = self.table.as_ref();
+        let channels = &self.channels;
+        // Bank-readiness window: a bank that can accept an ACT soon
+        // keeps the data bus busy; one deep in its tRC/precharge
+        // window would stall it.
+        let slack = self.clock * 2;
+        let mut classify = |e: &QueueEntry| -> SchedClass {
+            if e.req.kind.is_read() {
+                if let Some(t) = table {
+                    if t.would_hit(ch, e.mapped.dimm, e.req.line) {
+                        return SchedClass::Hit;
                     }
                 }
-                let ranks = self.cfg.ranks_per_dimm;
-                let (row_open, act_at, wtr_until) = match &channels[ch as usize].path {
-                    ChannelPath::Fbd { dimms, .. } => {
-                        let d = &dimms[e.mapped.dimm as usize];
-                        (
-                            d.is_row_open_at(
-                                e.mapped.rank as usize,
-                                e.mapped.bank as usize,
-                                e.mapped.row,
-                            ),
-                            d.earliest_act_at(e.mapped.rank as usize, e.mapped.bank as usize),
-                            d.read_turnaround_until(e.mapped.rank as usize),
-                        )
-                    }
-                    ChannelPath::Ddr2 { dimms, .. } => {
-                        let d = &dimms[(e.mapped.dimm * ranks + e.mapped.rank) as usize];
-                        (
-                            d.is_row_open(e.mapped.bank as usize, e.mapped.row),
-                            d.earliest_act(e.mapped.bank as usize),
-                            d.read_turnaround_until(),
-                        )
-                    }
-                };
-                // A read into a rank still inside its write-to-read
-                // turnaround would stall; prefer ranks past it.
-                let wtr_blocked = e.req.kind.is_read() && wtr_until > now + slack;
-                if row_open && !wtr_blocked {
-                    SchedClass::Hit
-                } else if act_at <= now + slack && !wtr_blocked {
-                    SchedClass::Ready
-                } else {
-                    SchedClass::NotReady
+            }
+            let ranks = self.cfg.ranks_per_dimm;
+            let (row_open, act_at, wtr_until) = match &channels[ch as usize].path {
+                ChannelPath::Fbd { dimms, .. } => {
+                    let d = &dimms[e.mapped.dimm as usize];
+                    (
+                        d.is_row_open_at(
+                            e.mapped.rank as usize,
+                            e.mapped.bank as usize,
+                            e.mapped.row,
+                        ),
+                        d.earliest_act_at(e.mapped.rank as usize, e.mapped.bank as usize),
+                        d.read_turnaround_until(e.mapped.rank as usize),
+                    )
+                }
+                ChannelPath::Ddr2 { dimms, .. } => {
+                    let d = &dimms[(e.mapped.dimm * ranks + e.mapped.rank) as usize];
+                    (
+                        d.is_row_open(e.mapped.bank as usize, e.mapped.row),
+                        d.earliest_act(e.mapped.bank as usize),
+                        d.read_turnaround_until(),
+                    )
                 }
             };
-            let mut candidates = std::mem::take(&mut self.cand_buf);
-            candidates.clear();
-            candidates.extend(self.queue.iter().filter(|e| ready(e)).copied());
-            let picked = self.scheds[ch as usize].pick(&candidates, &mut classify);
-            self.cand_buf = candidates;
-            picked
-        }
+            // A read into a rank still inside its write-to-read
+            // turnaround would stall; prefer ranks past it.
+            let wtr_blocked = e.req.kind.is_read() && wtr_until > now + slack;
+            if row_open && !wtr_blocked {
+                SchedClass::Hit
+            } else if act_at <= now + slack && !wtr_blocked {
+                SchedClass::Ready
+            } else {
+                SchedClass::NotReady
+            }
+        };
+        let picked = self.scheds[ch as usize].pick(&self.cand_buf, &mut classify);
+        debug_assert!(picked.is_some(), "policies pick from non-empty slices");
+        picked
     }
 
     /// The earliest instant after `now` at which another command can be

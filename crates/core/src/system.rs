@@ -335,10 +335,16 @@ impl System {
         self.host.mark_sampled(Phase::Controller);
     }
 
-    fn run_decision(&mut self, ch: u32) {
+    /// Runs one decision for `ch`; `rest` more identical runs are
+    /// queued at this instant. Returns `true` when the decision issued
+    /// nothing: the `rest` reruns would be idle too (see [`Self::run`]),
+    /// so they are folded here — their successors are pushed with this
+    /// run's own — and the caller must not execute them.
+    fn run_decision(&mut self, ch: u32, rest: u32) -> bool {
         let mut issued = std::mem::take(&mut self.issued_buf);
         debug_assert!(issued.is_empty());
         let next_decision = self.mem.decide_into(ch, self.now, &mut issued);
+        let idle = issued.is_empty();
         for issued in issued.drain(..) {
             match issued {
                 Issued::Read { resp } => {
@@ -356,11 +362,18 @@ impl System {
             }
         }
         self.issued_buf = issued;
+        // An idle run stands for itself and the reruns it folds.
+        let runs = if idle { 1 + rest } else { 1 };
         if let Some(next) = next_decision {
-            self.push(next.max(self.now), Event::Decide(ch));
+            self.events
+                .push_n(next.max(self.now), Event::Decide(ch), runs);
         }
         self.host.mark_sampled(Phase::Controller);
         self.host.bump(Counter::Decisions);
+        if idle {
+            self.host.add(Counter::DecisionsCollapsed, u64::from(rest));
+        }
+        idle
     }
 
     /// Counts a retired request; at [`STEADY_RETIRED`] the allocation
@@ -395,16 +408,24 @@ impl System {
                 "simulation exceeded the safety time limit"
             );
             self.now = self.now.max(at);
+            self.host.bump(Counter::Events);
             // `count` > 1 only for deduped same-instant decisions; the
             // seed heap popped those back to back (equal keys cannot be
             // interleaved), so re-running the handler — with the finish
             // check between runs, which the handler cannot perturb —
-            // reproduces it exactly.
-            for _ in 0..count {
-                self.host.bump(Counter::Events);
+            // reproduces it exactly. Once a run issues nothing, every
+            // later run at this instant would too (an idle decision
+            // changes no state a decision reads; DESIGN.md §16), so
+            // `run_decision` folds the remaining runs into one push of
+            // their successors instead of replaying them.
+            let mut runs = count;
+            while runs > 0 {
+                runs -= 1;
                 match ev {
                     Event::Decide(ch) => {
-                        self.run_decision(ch);
+                        if self.run_decision(ch, runs) {
+                            runs = 0;
+                        }
                     }
                     Event::ReadDone(ch, line, dropped) => {
                         self.mem.complete(ch);

@@ -36,6 +36,11 @@ pub trait RefreshManager: Send + std::fmt::Debug {
     /// Appends to `out` every refresh on channel `ch` whose deadline is
     /// at or before `now`, advancing the internal deadlines. Ops are
     /// emitted DIMM by DIMM, oldest deadline first within a DIMM.
+    ///
+    /// Contract: a second call with the same `ch` and `now` appends
+    /// nothing (the first drained every deadline at or before `now`).
+    /// The controller relies on it when it folds a decision's idle
+    /// same-instant reruns instead of executing them (DESIGN.md §16).
     fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>);
 }
 
@@ -193,6 +198,41 @@ mod tests {
         // Re-polling channel 0 at the same instant yields nothing new.
         ops.clear();
         m.due(0, far, &mut ops);
+        assert!(ops.is_empty());
+    }
+
+    #[test]
+    fn a_second_due_call_at_the_same_instant_appends_nothing() {
+        let c = cfg();
+        let n = u64::from(c.dimms_per_channel);
+        let step = c.refresh.t_refi / n;
+        let mut m = StaggeredRefresh::new(&c);
+        let mut ops = Vec::new();
+        // Instants just before, exactly at and just after staggered
+        // deadlines, plus jumps that cross several rounds at once.
+        let mut now = Time::ZERO;
+        for k in 0..4 * n {
+            for at in [
+                now + step - Dur::from_ps(1),
+                Time::ZERO + step * (k + 1),
+                Time::ZERO + step * (k + 1) + Dur::from_ps(1),
+                Time::ZERO + step * (3 * k + 2),
+            ] {
+                now = now.max(at);
+                for ch in 0..c.logical_channels {
+                    ops.clear();
+                    m.due(ch, now, &mut ops);
+                    ops.clear();
+                    m.due(ch, now, &mut ops);
+                    assert!(
+                        ops.is_empty(),
+                        "ch {ch}: second call at {now:?} yielded {ops:?}"
+                    );
+                }
+            }
+        }
+        // The disabled manager trivially keeps the contract too.
+        NoRefresh.due(0, now, &mut ops);
         assert!(ops.is_empty());
     }
 

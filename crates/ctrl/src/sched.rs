@@ -45,6 +45,13 @@ pub trait SchedulerPolicy: Send + std::fmt::Debug {
     /// to one channel and to schedulable arrivals). The slice is a
     /// caller-owned scratch buffer of copied entries, so policies can
     /// scan it repeatedly without allocating.
+    ///
+    /// Contract: returns `Some` (the id of one of the candidates) for
+    /// every non-empty slice, and returns `None` without changing the
+    /// policy's state for an empty one. The controller relies on it: a
+    /// decision that picks nothing is idle, and an idle decision's
+    /// same-instant reruns are folded instead of executed (DESIGN.md
+    /// §16).
     fn pick(
         &mut self,
         candidates: &[QueueEntry],
@@ -306,6 +313,55 @@ mod tests {
         ];
         let picked = sched().pick(&entries, |_| SchedClass::Ready);
         assert_eq!(picked, Some(RequestId(2)));
+    }
+
+    /// The [`SchedulerPolicy::pick`] contract, for every registered
+    /// policy on both bus technologies: `Some` from one of the
+    /// candidates for every non-empty slice (all read/write mixes up to
+    /// six entries, mixed classes, met in and out of drain mode), and
+    /// an empty slice leaves the policy's state untouched.
+    #[test]
+    fn pick_contract_holds_for_every_registered_policy() {
+        let kinds = [AccessKind::DemandRead, AccessKind::Write];
+        let classes = [SchedClass::Hit, SchedClass::Ready, SchedClass::NotReady];
+        let names: Vec<&str> = crate::schedulers().names().collect();
+        assert!(names.contains(&"hit-first") && names.contains(&"fcfs"));
+        for base in [MemoryConfig::fbdimm_default(), MemoryConfig::ddr2_default()] {
+            // A threshold the six-entry mixes cross in both directions,
+            // so drain mode turns on and off along the way.
+            let cfg = MemoryConfig {
+                write_drain_threshold: 4,
+                ..base
+            };
+            for (name, spec) in crate::schedulers().iter() {
+                let mut policy = spec.build(&cfg);
+                for len in 1..=6usize {
+                    for mask in 0..1u32 << len {
+                        let entries: Vec<QueueEntry> = (0..len)
+                            .map(|i| {
+                                let kind = kinds[(mask >> i) as usize & 1];
+                                entry(i as u64, kind, (len - i) as u64, i as u32)
+                            })
+                            .collect();
+                        let mut classify = |e: &QueueEntry| classes[e.mapped.bank as usize % 3];
+                        let picked = policy.pick(&entries, &mut classify);
+                        assert!(
+                            picked.is_some_and(|id| entries.iter().any(|e| e.req.id == id)),
+                            "`{name}` picked {picked:?} from a non-empty slice"
+                        );
+                        // Whatever drain state this pick left behind, an
+                        // empty pick must neither choose nor change it.
+                        let before = format!("{policy:?}");
+                        assert_eq!(policy.pick(&[], &mut classify), None);
+                        assert_eq!(
+                            format!("{policy:?}"),
+                            before,
+                            "`{name}` changed on an empty pick"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

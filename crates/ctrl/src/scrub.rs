@@ -86,8 +86,9 @@ impl PatrolScrub {
 
     /// Asks for a line to scrub on `channel` at an idle decision point.
     /// `None` means no sweep is due (rate limit, or nothing observed
-    /// yet). A returned line counts as dispatched: the cursor and the
-    /// rate-limit clock advance.
+    /// yet) and changes nothing, so a repeat call at the same `now`
+    /// returns `None` again. A returned line counts as dispatched: the
+    /// cursor and the rate-limit clock advance.
     pub fn next_scrub(&mut self, channel: u32, now: Time) -> Option<LineAddr> {
         let interval = self.interval;
         let ch = &mut self.channels[channel as usize];

@@ -114,16 +114,22 @@ pub enum Counter {
     /// subset of [`Counter::FramesSent`]); nonzero only under fault
     /// injection.
     Retries = 5,
+    /// Same-instant reruns of a decision that were folded away instead
+    /// of executed, because an earlier run at that instant issued
+    /// nothing (see `System::run`); `decisions + decisions_collapsed`
+    /// is the number of decision runs the event queue asked for.
+    DecisionsCollapsed = 6,
 }
 
 /// All counters, in accumulator order; labels are the JSON keys.
-pub const COUNTERS: [(Counter, &str); 6] = [
+pub const COUNTERS: [(Counter, &str); 7] = [
     (Counter::Events, "events"),
     (Counter::Decisions, "decisions"),
     (Counter::RequestsRetired, "requests_retired"),
     (Counter::DramCommands, "dram_commands"),
     (Counter::FramesSent, "frames_sent"),
     (Counter::Retries, "link_retries"),
+    (Counter::DecisionsCollapsed, "decisions_collapsed"),
 ];
 
 /// Low-overhead wall-clock phase timer + event counters for one run.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use fbd_core::{calibrate, RunSpec};
 use fbd_telemetry::host::{Counter, HostProfiler, Phase};
-use fbd_telemetry::{Json, LogHistogram, TelemetryConfig};
+use fbd_telemetry::{json, Json, LogHistogram, TelemetryConfig};
 use fbd_types::time::Dur;
 
 fn spec() -> RunSpec {
@@ -32,12 +32,15 @@ fn profiled_run_partitions_wall_time_and_counts_the_hot_loop() {
     // Hot-loop counters moved: events, scheduling decisions, retired
     // requests, DRAM commands and FBD link frames all fired; no faults
     // were injected, so no link retries.
+    // 1C-swim leaves the controller idle most of the time, so idle
+    // same-instant decision reruns were folded.
     for c in [
         Counter::Events,
         Counter::Decisions,
         Counter::RequestsRetired,
         Counter::DramCommands,
         Counter::FramesSent,
+        Counter::DecisionsCollapsed,
     ] {
         assert!(profiler.counter(c) > 0, "counter {c:?} never moved");
     }
@@ -61,6 +64,56 @@ fn profiled_run_partitions_wall_time_and_counts_the_hot_loop() {
         hot > 0.5 * h.wall.as_secs_f64(),
         "simulation phases cover only {:.0}% of wall time",
         100.0 * hot / h.wall.as_secs_f64()
+    );
+}
+
+/// Host counters of `fbdsim run` on 1C-swim/fbd-ap with the event
+/// queue selected by `FBD_EVENT_QUEUE`.
+fn cli_counters(queue: &str) -> Json {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fbdsim"))
+        .args(["run", "--workload", "1C-swim", "--system", "fbd-ap"])
+        .args(["--budget", "20000", "--json"])
+        .env("FBD_EVENT_QUEUE", queue)
+        .output()
+        .expect("fbdsim runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("well-formed stats JSON");
+    doc.get("host")
+        .and_then(|h| h.get("counters"))
+        .expect("host counters")
+        .clone()
+}
+
+#[test]
+fn events_count_pops_and_folded_decisions_are_accounted_for() {
+    let count = |doc: &Json, key: &str| {
+        doc.get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("counter {key} missing")) as u64
+    };
+    let wheel = cli_counters("wheel");
+    let heap = cli_counters("heap");
+    // The heap pops every same-instant duplicate separately, so each
+    // pop runs one decision and nothing is ever folded.
+    assert_eq!(count(&heap, "decisions_collapsed"), 0);
+    // The wheel runs fewer decisions; the folded ones make up the
+    // difference exactly.
+    let (ran, folded) = (
+        count(&wheel, "decisions"),
+        count(&wheel, "decisions_collapsed"),
+    );
+    assert!(folded > 0, "no decision was folded on 1C-swim");
+    assert_eq!(ran + folded, count(&heap, "decisions"));
+    // `events` counts pops: a merged wheel entry is one event however
+    // many runs it stands for.
+    assert!(count(&wheel, "events") < count(&heap, "events"));
+    assert_eq!(
+        count(&wheel, "requests_retired"),
+        count(&heap, "requests_retired")
     );
 }
 

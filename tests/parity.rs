@@ -14,10 +14,15 @@
 //! queue: every run under the default calendar queue must produce
 //! stats JSON byte-identical to the same run forced onto the seed
 //! binary heap with `FBD_EVENT_QUEUE=heap` — across the four paper
-//! systems, under fault injection, and through the fast-fidelity path.
+//! systems, on the eight-core mix, under fault injection, with patrol
+//! scrub and prefetch re-issue on four cores, and through the
+//! fast-fidelity path. The heap pops every same-instant duplicate
+//! decision separately, so it is also the unfolded reference for the
+//! wheel's folding of idle reruns.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::{json, Json};
@@ -36,8 +41,13 @@ fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
 }
 
+/// A temp file path unique to this call: tests run on parallel threads
+/// and several of them run the same workload and system with different
+/// flags, so the name alone would let one test read another's output.
 fn tmp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fbdsim-parity-{}-{name}", std::process::id()))
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("fbdsim-parity-{}-{seq}-{name}", std::process::id()))
 }
 
 /// Removes every `host` object (top-level and per-point) and
@@ -62,12 +72,14 @@ fn strip_host(text: &str) -> String {
     doc.to_json_pretty(2)
 }
 
-/// Runs `fbdsim <cmd>` (`run` or `profile`) selecting `system` through
-/// `flag` (`--system` or `--substrate`) with `envs` set, and returns
-/// the pretty-printed stats JSON bytes with the wall-clock-bearing
-/// `host` object stripped.
+/// Runs `fbdsim <cmd>` (`run` or `profile`) on `workload` for `budget`
+/// instructions, selecting `system` through `flag` (`--system` or
+/// `--substrate`) with `envs` set, and returns the pretty-printed stats
+/// JSON bytes with the wall-clock-bearing `host` object stripped.
 fn stats_via_env(
     cmd: &str,
+    workload: &str,
+    budget: &str,
     flag: &str,
     system: &str,
     extra: &[&str],
@@ -75,18 +87,18 @@ fn stats_via_env(
 ) -> String {
     let tag = envs.iter().map(|(_, v)| *v).collect::<Vec<_>>().join("-");
     let path = tmp_path(&format!(
-        "{cmd}-{}-{system}-{tag}.json",
+        "{cmd}-{workload}-{}-{system}-{tag}.json",
         flag.trim_start_matches('-')
     ));
     let path_s = path.to_str().unwrap().to_string();
     let mut args = vec![
         cmd,
         "--workload",
-        "1C-swim",
+        workload,
         flag,
         system,
         "--budget",
-        BUDGET,
+        budget,
         "--stats-json",
         &path_s,
     ];
@@ -107,17 +119,17 @@ fn stats_via_env(
     strip_host(&text)
 }
 
-/// [`stats_via_env`] on `run` with no environment overrides.
+/// [`stats_via_env`] on `run` of 1C-swim with no environment overrides.
 fn stats_via(flag: &str, system: &str, extra: &[&str]) -> String {
-    stats_via_env("run", flag, system, extra, &[])
+    stats_via_env("run", "1C-swim", BUDGET, flag, system, extra, &[])
 }
 
 #[test]
 fn substrate_flag_is_byte_identical_to_system_flag_on_all_paper_systems() {
     let runs = ["ddr2", "fbd", "fbd-ap", "fbd-apfl"].map(|s| ("run", s));
     for (cmd, system) in runs.into_iter().chain([("profile", "fbd-ap")]) {
-        let old = stats_via_env(cmd, "--system", system, &[], &[]);
-        let new = stats_via_env(cmd, "--substrate", system, &[], &[]);
+        let old = stats_via_env(cmd, "1C-swim", BUDGET, "--system", system, &[], &[]);
+        let new = stats_via_env(cmd, "1C-swim", BUDGET, "--substrate", system, &[], &[]);
         assert_eq!(
             old, new,
             "`{cmd} --substrate {system}` diverged from `--system {system}`"
@@ -337,16 +349,33 @@ fn unknown_registry_names_exit_2_with_the_available_list() {
 const WHEEL: &[(&str, &str)] = &[("FBD_EVENT_QUEUE", "wheel")];
 const HEAP: &[(&str, &str)] = &[("FBD_EVENT_QUEUE", "heap")];
 
+/// Asserts that `workload` on `system` for `budget` instructions with
+/// `extra` flags produces the same stats bytes under the event wheel
+/// (which merges same-instant decisions and folds their idle reruns)
+/// and under the seed heap (which pops and runs every duplicate
+/// separately); returns the stats document.
+fn assert_queue_parity(workload: &str, budget: &str, system: &str, extra: &[&str]) -> Json {
+    let wheel = stats_via_env("run", workload, budget, "--system", system, extra, WHEEL);
+    let heap = stats_via_env("run", workload, budget, "--system", system, extra, HEAP);
+    assert_eq!(
+        wheel, heap,
+        "event wheel diverged from the seed heap on {workload}/{system} {extra:?}"
+    );
+    json::parse(&wheel).expect("well-formed stats JSON")
+}
+
 #[test]
 fn event_wheel_is_byte_identical_to_seed_heap_on_all_paper_systems() {
     for system in ["ddr2", "fbd", "fbd-ap", "fbd-apfl"] {
-        let wheel = stats_via_env("run", "--system", system, &[], WHEEL);
-        let heap = stats_via_env("run", "--system", system, &[], HEAP);
-        assert_eq!(
-            wheel, heap,
-            "event wheel diverged from the seed heap on `{system}`"
-        );
+        assert_queue_parity("1C-swim", BUDGET, system, &[]);
     }
+}
+
+#[test]
+fn event_wheel_heap_parity_holds_on_eight_cores() {
+    // A deep queue on every channel: many decisions per instant issue,
+    // and folds happen only after the last issuing run.
+    assert_queue_parity("8C-1", BUDGET, "fbd-ap", &[]);
 }
 
 #[test]
@@ -355,10 +384,7 @@ fn event_wheel_heap_parity_holds_under_fault_injection() {
     // ReadDone orderings and redundant Decide wakeups — exactly where
     // the wheel's dedup could go wrong).
     let faults = ["--fault-ber", "1e-5", "--fault-seed", "3"];
-    let wheel = stats_via_env("run", "--system", "fbd-ap", &faults, WHEEL);
-    let heap = stats_via_env("run", "--system", "fbd-ap", &faults, HEAP);
-    assert_eq!(wheel, heap, "faulted run diverged between queue kinds");
-    let doc = json::parse(&wheel).expect("well-formed stats JSON");
+    let doc = assert_queue_parity("1C-swim", BUDGET, "fbd-ap", &faults);
     assert!(doc.get("errors").is_some(), "faulted run reports errors");
 }
 
@@ -379,9 +405,31 @@ fn event_wheel_heap_parity_holds_with_recovery_traffic() {
         "--reissue",
         "8",
     ];
-    let wheel = stats_via_env("run", "--system", "fbd-ap", &flags, WHEEL);
-    let heap = stats_via_env("run", "--system", "fbd-ap", &flags, HEAP);
-    assert_eq!(wheel, heap, "recovery traffic diverged between queues");
+    assert_queue_parity("1C-swim", BUDGET, "fbd-ap", &flags);
+}
+
+#[test]
+fn event_wheel_heap_parity_holds_with_four_core_patrol_and_reissue() {
+    // Recovery work claims idle slots; the reruns a fold carries
+    // forward must reach it on the same decisions as the heap's
+    // separately popped duplicates. At 20k instructions a fold that
+    // dropped those reruns instead of carrying them changes the stats.
+    let flags = [
+        "--fault-ber",
+        "1e-4",
+        "--fault-seed",
+        "7",
+        "--scrub",
+        "patrol",
+        "--reissue",
+        "8",
+    ];
+    let doc = assert_queue_parity("4C-1", "20000", "fbd-ap", &flags);
+    let errors = doc.get("errors").expect("armed run reports errors");
+    for key in ["reissued", "scrub_reads"] {
+        let n = errors.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+        assert!(n > 0.0, "errors.{key} is {n}: recovery never ran");
+    }
 }
 
 #[test]
@@ -389,13 +437,7 @@ fn event_wheel_heap_parity_holds_through_fast_fidelity() {
     // The fast path calibrates itself by running the accurate
     // simulator on anchor points; those anchor runs must land on the
     // same numbers under either queue.
-    let fast = ["--fidelity", "fast"];
-    let wheel = stats_via_env("run", "--system", "fbd", &fast, WHEEL);
-    let heap = stats_via_env("run", "--system", "fbd", &fast, HEAP);
-    assert_eq!(
-        wheel, heap,
-        "fast-fidelity run diverged between queue kinds"
-    );
+    assert_queue_parity("1C-swim", BUDGET, "fbd", &["--fidelity", "fast"]);
 }
 
 #[test]
