@@ -43,6 +43,65 @@ fn bench_amb_cache(c: &mut Criterion) {
     });
 }
 
+/// The controller's AMB tag table at the paper default (64 lines, fully
+/// associative, FIFO, 4-line regions), loaded the way group fetches
+/// load it: the three prefetched lines of each region, for regions that
+/// map to channel 0, DIMM 0 under the default interleaving.
+fn bench_amb_tag_table(c: &mut Criterion) {
+    let mem = MemoryConfig::fbdimm_with_prefetch();
+    let mapper = fbd_ctrl_mapper();
+    let k = u64::from(mem.amb.region_lines);
+    let regions: Vec<u64> = (0u64..)
+        .filter(|&r| {
+            let m = mapper.map(LineAddr::new(r * k));
+            m.channel == 0 && m.dimm == 0
+        })
+        .take(256)
+        .collect();
+    let group = |r: u64| (1..k).map(move |i| LineAddr::new(r * k + i));
+    let mut table = fbd_ctrl::PrefetchTable::new(&mem);
+    let per_table = mem.amb.cache_lines as usize / (k as usize - 1) + 1;
+    for &r in &regions[..per_table] {
+        table.fill(0, 0, group(r));
+    }
+    let resident: Vec<LineAddr> = regions[..per_table]
+        .iter()
+        .flat_map(|&r| group(r))
+        .filter(|&l| table.would_hit(0, 0, l))
+        .collect();
+    assert_eq!(resident.len(), mem.amb.cache_lines as usize);
+    // 72% hits (1C-swim's AMB coverage on fbd-ap); the misses are the
+    // demanded lines of resident regions and lines of regions not held.
+    let mut seed = 1u64;
+    let queries: Vec<LineAddr> = (0..1024)
+        .map(|_| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let pick = (seed >> 33) as usize;
+            if pick % 100 < 72 {
+                resident[pick % resident.len()]
+            } else {
+                LineAddr::new(regions[pick % regions.len()] * k)
+            }
+        })
+        .collect();
+    let mut i = 0usize;
+    c.bench_function("amb_cache/would_hit_full", |b| {
+        b.iter(|| {
+            i = (i + 1) % queries.len();
+            black_box(table.would_hit(0, 0, black_box(queries[i])))
+        })
+    });
+    let mut next = per_table;
+    c.bench_function("amb_cache/fill_group", |b| {
+        b.iter(|| {
+            next = (next + 1) % regions.len();
+            black_box(table.fill(0, 0, group(regions[next])))
+        })
+    });
+}
+
 fn bench_dram_plan_commit(c: &mut Criterion) {
     let timings = fbd_types::config::DramTimings::ddr2_table2();
     c.bench_function("dram/plan_commit_close_page", |b| {
@@ -143,6 +202,7 @@ criterion_group!(
     benches,
     bench_mapping,
     bench_amb_cache,
+    bench_amb_tag_table,
     bench_dram_plan_commit,
     bench_bus_earliest_fit,
     bench_timeline,

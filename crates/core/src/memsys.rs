@@ -16,7 +16,7 @@
 //! at most one transaction, and the next decision follows one command
 //! slot later, so scheduling stays fine-grained.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use fbd_amb::{AmbDimm, GroupFetchOutcome, ReadOutcome, WriteOutcome};
 use fbd_ctrl::{
@@ -40,7 +40,7 @@ use fbd_types::request::{
 };
 use fbd_types::stats::MemStats;
 use fbd_types::time::{DataRate, Dur, Time};
-use fbd_types::{LineAddr, CACHE_LINE_BYTES};
+use fbd_types::{LineAddr, LineSet, CACHE_LINE_BYTES};
 
 use crate::compose::Composition;
 
@@ -319,8 +319,10 @@ struct Reliability {
     /// poison tracking or re-issue is active).
     scrub: Option<PatrolScrub>,
     /// Lines whose last transfer escaped the CRC: silently corrupted
-    /// in memory until a clean overwrite or a scrub repairs them.
-    poisoned: HashSet<LineAddr>,
+    /// in memory until a clean overwrite or a scrub repairs them. It
+    /// has no item bound (every escape may add a line), so it starts
+    /// empty and grows with the escapes.
+    poisoned: LineSet,
     /// Dropped prefetch returns remembered per channel, re-issued at
     /// idle decision slots (each queue bounded by `reissue_budget`).
     pending: Vec<VecDeque<LineAddr>>,
@@ -494,7 +496,7 @@ impl MemorySystem {
                         Dur::from_ns(cfg.faults.scrub_interval_ns),
                     )),
                 },
-                poisoned: HashSet::new(),
+                poisoned: LineSet::default(),
                 pending: vec![VecDeque::new(); cfg.logical_channels as usize],
                 reissue_budget: cfg.faults.reissue_budget as usize,
                 counters: FaultCounters::default(),
@@ -976,7 +978,9 @@ impl MemorySystem {
         // keeps the data bus busy; one deep in its tRC/precharge
         // window would stall it.
         let slack = self.clock * 2;
+        let mut classified = 0u64;
         let mut classify = |e: &QueueEntry| -> SchedClass {
+            classified += 1;
             if e.req.kind.is_read() {
                 if let Some(t) = table {
                     if t.would_hit(ch, e.mapped.dimm, e.req.line) {
@@ -1020,6 +1024,7 @@ impl MemorySystem {
         };
         let picked = self.scheds[ch as usize].pick(&self.cand_buf, &mut classify);
         debug_assert!(picked.is_some(), "policies pick from non-empty slices");
+        self.host.add(Counter::CandidatesClassified, classified);
         picked
     }
 

@@ -119,10 +119,15 @@ pub enum Counter {
     /// nothing (see `System::run`); `decisions + decisions_collapsed`
     /// is the number of decision runs the event queue asked for.
     DecisionsCollapsed = 6,
+    /// Queued transactions the scheduling policy classified (calls of
+    /// its classify callback: AMB-tag lookup, then bank state). Added
+    /// once per policy run; zero under a policy that ignores the
+    /// classification, such as `fcfs`.
+    CandidatesClassified = 7,
 }
 
 /// All counters, in accumulator order; labels are the JSON keys.
-pub const COUNTERS: [(Counter, &str); 7] = [
+pub const COUNTERS: [(Counter, &str); 8] = [
     (Counter::Events, "events"),
     (Counter::Decisions, "decisions"),
     (Counter::RequestsRetired, "requests_retired"),
@@ -130,6 +135,7 @@ pub const COUNTERS: [(Counter, &str); 7] = [
     (Counter::FramesSent, "frames_sent"),
     (Counter::Retries, "link_retries"),
     (Counter::DecisionsCollapsed, "decisions_collapsed"),
+    (Counter::CandidatesClassified, "candidates_classified"),
 ];
 
 /// Low-overhead wall-clock phase timer + event counters for one run.

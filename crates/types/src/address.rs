@@ -23,6 +23,8 @@
 //! ```
 
 use core::fmt;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of an L2 cache block / memory transfer unit, in bytes (Table 1).
 pub const CACHE_LINE_BYTES: u64 = 64;
@@ -120,6 +122,58 @@ impl fmt::Display for LineAddr {
     }
 }
 
+/// A set of cachelines, hashed with [`LineHasher`].
+pub type LineSet = HashSet<LineAddr, BuildHasherDefault<LineHasher>>;
+
+/// A map keyed by cacheline, hashed with [`LineHasher`].
+pub type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
+
+/// The hasher behind [`LineSet`] and [`LineMap`]: one multiply per
+/// 64-bit word and a final rotate (the FxHash scheme).
+///
+/// The hasher has no per-process seed: a given key hashes the same in
+/// every run. The rotate moves the product's well-mixed high bits down
+/// into the bucket index, so lines that share their low bits (one
+/// channel's or DIMM's lines under an interleaved mapping) still spread
+/// over the table. It gives up SipHash's resistance to crafted
+/// collisions, which a replayed trace could attempt. The tables that
+/// use it are bounded by a configured size (an AMB cache, the L2
+/// MSHRs) or grow only on a CRC escape (poisoned lines), so colliding
+/// lines cost at worst a scan of one such table.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LineHasher(u64);
+
+impl LineHasher {
+    /// An odd constant with well-spread bits (2^64 / φ).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for LineHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Identifier of a `K`-line prefetch region (paper §3.2).
 ///
 /// Region `r` of size `K` covers lines `r*K .. (r+1)*K`.
@@ -192,6 +246,35 @@ mod tests {
             .map(LineAddr::as_u64)
             .collect();
         assert_eq!(rest, vec![4, 5, 7]);
+    }
+
+    #[test]
+    fn line_hasher_is_fixed_across_instances() {
+        use std::hash::BuildHasher;
+        let b = BuildHasherDefault::<LineHasher>::default();
+        let line = LineAddr::new(0x1234_5678);
+        assert_eq!(b.hash_one(line), b.hash_one(line));
+        // The documented scheme, so every process agrees on it.
+        assert_eq!(
+            b.hash_one(line),
+            0x1234_5678u64.wrapping_mul(LineHasher::K).rotate_left(26)
+        );
+        assert_ne!(b.hash_one(line), b.hash_one(line.offset(1)));
+    }
+
+    #[test]
+    fn line_hasher_spreads_lines_that_share_low_bits() {
+        use std::hash::BuildHasher;
+        let b = BuildHasherDefault::<LineHasher>::default();
+        // Every 16th line (one DIMM's share under a 16-way interleave)
+        // still fills all 64 buckets of a 64-bucket table.
+        let buckets: std::collections::BTreeSet<u64> = (0..1024u64)
+            .map(|i| b.hash_one(LineAddr::new(i * 16 + 5)) & 63)
+            .collect();
+        assert_eq!(buckets.len(), 64);
+        let mut set = LineSet::default();
+        assert!(set.insert(LineAddr::new(7)));
+        assert!(!set.insert(LineAddr::new(7)));
     }
 
     #[test]

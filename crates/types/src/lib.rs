@@ -32,7 +32,7 @@ pub mod stats;
 pub mod substrate;
 pub mod time;
 
-pub use address::{LineAddr, PhysAddr, RegionId, CACHE_LINE_BYTES};
+pub use address::{LineAddr, LineHasher, LineMap, LineSet, PhysAddr, RegionId, CACHE_LINE_BYTES};
 pub use config::{
     AmbPrefetchConfig, AmbPrefetchMode, Associativity, CpuConfig, DramTimings, FaultConfig,
     FaultMode, HwPrefetchConfig, Interleaving, MemoryConfig, MemoryTech, PagePolicy, Replacement,

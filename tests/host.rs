@@ -68,11 +68,12 @@ fn profiled_run_partitions_wall_time_and_counts_the_hot_loop() {
 }
 
 /// Host counters of `fbdsim run` on 1C-swim/fbd-ap with the event
-/// queue selected by `FBD_EVENT_QUEUE`.
-fn cli_counters(queue: &str) -> Json {
+/// queue selected by `FBD_EVENT_QUEUE` and any `extra` options.
+fn cli_counters(queue: &str, extra: &[&str]) -> Json {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fbdsim"))
         .args(["run", "--workload", "1C-swim", "--system", "fbd-ap"])
         .args(["--budget", "20000", "--json"])
+        .args(extra)
         .env("FBD_EVENT_QUEUE", queue)
         .output()
         .expect("fbdsim runs");
@@ -88,15 +89,17 @@ fn cli_counters(queue: &str) -> Json {
         .clone()
 }
 
+/// One counter of a [`cli_counters`] object.
+fn count(doc: &Json, key: &str) -> u64 {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("counter {key} missing")) as u64
+}
+
 #[test]
 fn events_count_pops_and_folded_decisions_are_accounted_for() {
-    let count = |doc: &Json, key: &str| {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("counter {key} missing")) as u64
-    };
-    let wheel = cli_counters("wheel");
-    let heap = cli_counters("heap");
+    let wheel = cli_counters("wheel", &[]);
+    let heap = cli_counters("heap", &[]);
     // The heap pops every same-instant duplicate separately, so each
     // pop runs one decision and nothing is ever folded.
     assert_eq!(count(&heap, "decisions_collapsed"), 0);
@@ -115,6 +118,21 @@ fn events_count_pops_and_folded_decisions_are_accounted_for() {
         count(&wheel, "requests_retired"),
         count(&heap, "requests_retired")
     );
+}
+
+#[test]
+fn candidates_classified_counts_the_hit_first_classify_calls() {
+    // Hit-first classifies every candidate of the phase it serves
+    // (AMB-tag lookup, then bank state), so each issued request cost
+    // at least one classification.
+    let hit_first = cli_counters("wheel", &[]);
+    let classified = count(&hit_first, "candidates_classified");
+    assert!(classified > 0, "hit-first classified nothing on fbd-ap");
+    assert!(classified >= count(&hit_first, "requests_retired"));
+    // FCFS orders by age alone and never calls the callback.
+    let fcfs = cli_counters("wheel", &["--scheduler", "fcfs"]);
+    assert_eq!(count(&fcfs, "candidates_classified"), 0);
+    assert!(count(&fcfs, "decisions") > 0);
 }
 
 #[test]
