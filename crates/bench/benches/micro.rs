@@ -9,7 +9,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use fbd_core::experiment::ExperimentConfig;
 use fbd_core::RunSpec;
-use fbd_ctrl::AddressMapper;
 use fbd_types::config::{MemoryConfig, SystemConfig};
 use fbd_types::time::{Dur, Time};
 use fbd_types::LineAddr;
@@ -189,8 +188,8 @@ fn bench_full_system(c: &mut Criterion) {
         let l2_lines = u64::from(cfg.cpu.l2_bytes) / fbd_types::CACHE_LINE_BYTES;
         let warmup = 2 * l2_lines / u64::from(cfg.cpu.cores);
         b.iter(|| {
-            let mut sys =
-                fbd_core::System::with_warmup(&cfg, w.traces(exp.seed), exp.budget, warmup);
+            let mut sys = fbd_core::System::new(&cfg, w.traces(exp.seed), exp.budget);
+            sys.warm(warmup);
             sys.enable_telemetry(&tc);
             black_box(sys.run().elapsed)
         })

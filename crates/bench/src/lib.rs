@@ -20,9 +20,8 @@ use std::path::{Path, PathBuf};
 use fbd_core::experiment::{default_budget, reference_ipcs, smt_speedup, ExperimentConfig};
 pub use fbd_core::parallel_map;
 use fbd_core::{RunResult, RunSpec};
-use fbd_types::config::{
-    AmbPrefetchMode, Associativity, Interleaving, MemoryConfig, MemoryTech, SystemConfig,
-};
+use fbd_types::config::{Associativity, Interleaving, MemoryTech, SystemConfig};
+use fbd_types::substrate::substrates;
 use fbd_types::time::DataRate;
 use fbd_workloads::{paper_workloads, Workload, PROFILES};
 
@@ -61,20 +60,15 @@ impl Variant {
     }
 }
 
-/// Builds a system configuration for `variant` with `cores` cores.
+/// Builds a system configuration for `variant` with `cores` cores, on
+/// the substrate preset of the same name (the paper's legend labels
+/// are the preset names in upper case).
 pub fn system(variant: Variant, cores: u32) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_default(cores);
-    cfg.mem = match variant {
-        Variant::Ddr2 => MemoryConfig::ddr2_default(),
-        Variant::Fbd => MemoryConfig::fbdimm_default(),
-        Variant::FbdAp => MemoryConfig::fbdimm_with_prefetch(),
-        Variant::FbdApfl => {
-            let mut m = MemoryConfig::fbdimm_with_prefetch();
-            m.amb.mode = AmbPrefetchMode::FullLatency;
-            m
-        }
-    };
-    cfg
+    let name = variant.label().to_ascii_lowercase();
+    SystemConfig {
+        mem: substrates().get(&name).expect("paper preset").config(),
+        ..SystemConfig::paper_default(cores)
+    }
 }
 
 /// AMB-prefetching system with explicit region size, buffer entries and

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fbd_core::experiment::{default_budget, ExperimentConfig};
-use fbd_core::{calibrate, parallel_map, pareto_frontier, Calibration, Composition, Fidelity};
+use fbd_core::{calibrate, parallel_map, pareto_frontier, Calibration, Fidelity};
 use fbd_core::{RunResult, RunSpec};
 use fbd_ctrl::schedulers;
 use fbd_telemetry::host::{Counter, HostProfiler, PHASES};
@@ -873,7 +873,7 @@ fn telemetry_options(args: &Args, cfg: &SystemConfig) -> Result<Option<Telemetry
 /// The machine-readable statistics document written by `--stats-json`
 /// and printed by `--json`: everything the human report shows, plus the
 /// full metric registry and epoch time-series when telemetry ran.
-fn stats_document(workload: &Workload, system: &str, comp: &Composition, r: &RunResult) -> Json {
+fn stats_document(workload: &Workload, system: &str, spec: &RunSpec, r: &RunResult) -> Json {
     let ipc_sum: f64 = r.ipcs().iter().sum();
     let bw = r.channel_bandwidth_gbps();
     let channels: Vec<Json> = r
@@ -898,12 +898,7 @@ fn stats_document(workload: &Workload, system: &str, comp: &Composition, r: &Run
         ("system".to_string(), Json::from(system)),
         (
             "composition".to_string(),
-            Json::Obj(vec![
-                ("substrate".into(), Json::from(comp.substrate.as_str())),
-                ("scheduler".into(), Json::from(comp.scheduler.as_str())),
-                ("mapper".into(), Json::from(comp.mapper.as_str())),
-                ("refresh".into(), Json::from(comp.refresh.as_str())),
-            ]),
+            spec.composition().to_json(&spec.system().mem),
         ),
         ("elapsed_ns".to_string(), Json::from(r.elapsed.as_ns_f64())),
         ("ipc_sum".to_string(), Json::from(ipc_sum)),
@@ -1311,7 +1306,6 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
     let csv = args.has_flag("csv");
     let json_stdout = args.has_flag("json");
-    let comp = spec.composition();
     if let Some(tc) = &telemetry {
         spec = spec.telemetry(*tc);
     }
@@ -1358,7 +1352,7 @@ fn cmd_run(args: &Args) -> ExitCode {
     // document is identical whether the system was selected with
     // `--system` or `--substrate`.
     let doc = || {
-        let Json::Obj(mut fields) = stats_document(&workload, sname, &comp, &r) else {
+        let Json::Obj(mut fields) = stats_document(&workload, sname, &spec, &r) else {
             unreachable!("stats_document always returns an object");
         };
         if let Some(cal) = &calibration {
@@ -1462,7 +1456,6 @@ fn cmd_profile(args: &Args) -> ExitCode {
     if let Some(fc) = faults {
         spec.system_mut().mem.faults = fc;
     }
-    let comp = spec.composition();
     let r = match spec.try_run() {
         Ok(r) => r,
         Err(e) => {
@@ -1472,7 +1465,7 @@ fn cmd_profile(args: &Args) -> ExitCode {
     };
     let p = &r.profile;
     if args.has_flag("json") {
-        println!("{}", stats_document(&workload, sname, &comp, &r).to_json());
+        println!("{}", stats_document(&workload, sname, &spec, &r).to_json());
     } else {
         println!("latency attribution for {} on {}:", workload.name(), sname);
         let reads = p.reads();
@@ -1536,7 +1529,7 @@ fn cmd_profile(args: &Args) -> ExitCode {
         }
     }
     if let Some(path) = args.get("stats-json") {
-        let doc = stats_document(&workload, sname, &comp, &r);
+        let doc = stats_document(&workload, sname, &spec, &r);
         if let Err(e) = std::fs::write(path, doc.to_json_pretty(2)) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -1730,7 +1723,7 @@ fn grid_points(
         if !want_stats {
             continue;
         }
-        let Json::Obj(mut fields) = stats_document(workload, label, &spec.composition(), r) else {
+        let Json::Obj(mut fields) = stats_document(workload, label, spec, r) else {
             unreachable!("stats_document always returns an object");
         };
         if fidelity != Fidelity::Accurate {
@@ -2137,8 +2130,6 @@ mod tests {
         let comp = s.composition();
         assert_eq!(comp.substrate, "fbd-ap");
         assert_eq!(comp.scheduler, "fcfs");
-        assert_eq!(comp.mapper, "interleaved");
-        assert_eq!(comp.refresh, "none", "the paper runs without refresh");
         // The substrate label survives a config edit (e.g. fault
         // injection) that makes the config diverge from the preset.
         s.system_mut().mem.faults.ber = 1e-6;
@@ -2204,8 +2195,7 @@ mod tests {
             trace: true,
         };
         let r = base.clone().telemetry(tc).run();
-        let comp = base.composition();
-        let doc = stats_document(&workload, "fbd-ap", &comp, &r);
+        let doc = stats_document(&workload, "fbd-ap", &base, &r);
         // The document round-trips through its own writer and parser.
         let parsed = fbd_telemetry::json::parse(&doc.to_json()).unwrap();
         assert_eq!(
@@ -2289,7 +2279,7 @@ mod tests {
         assert!(parsed.get("series").is_some());
         // Without telemetry those sections are absent.
         let bare = base.run();
-        let doc = stats_document(&workload, "fbd-ap", &comp, &bare);
+        let doc = stats_document(&workload, "fbd-ap", &base, &bare);
         assert!(doc.get("metrics").is_none());
         assert!(doc.get("series").is_none());
     }

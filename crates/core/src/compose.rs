@@ -1,19 +1,21 @@
-//! The composition of one memory system: which registered substrate,
-//! scheduler, mapper and refresh manager it is built from.
+//! The composition of one memory system: which registered substrate
+//! and scheduler it is built from.
 //!
-//! A [`Composition`] is the string-level description of a memory
-//! system. [`MemorySystem::compose`](crate::MemorySystem::compose)
-//! resolves each name against its registry and builds the system;
+//! A [`Composition`] names the two parts a run selects by name.
+//! [`MemorySystem::compose`](crate::MemorySystem::compose) resolves the
+//! scheduler against its registry and builds the system;
 //! [`Composition::from_config`] goes the other way, recovering the
-//! names a plain [`MemoryConfig`] describes. A scheduler other than the
-//! default is selected by name on the run
+//! substrate a plain [`MemoryConfig`] describes. A scheduler other than
+//! the default is selected by name on the run
 //! ([`RunSpec::scheduler`](crate::RunSpec::scheduler)), never by the
-//! config.
+//! config. The address mapper and the refresh manager are fixed parts,
+//! named only in the stats document ([`Composition::to_json`]).
 
+use fbd_telemetry::Json;
 use fbd_types::config::MemoryConfig;
 use fbd_types::substrate::substrates;
 
-/// Registry names selecting each pluggable part of a memory system.
+/// Registry names of the parts a run selects.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Composition {
     /// Substrate (timing + channel preset) name, or `custom` when the
@@ -21,33 +23,40 @@ pub struct Composition {
     pub substrate: String,
     /// Scheduling policy name (`hit-first`, `fcfs`, …).
     pub scheduler: String,
-    /// Address mapper name (`interleaved`).
-    pub mapper: String,
-    /// Refresh manager name (`staggered`, `none`).
-    pub refresh: String,
 }
 
 impl Composition {
     /// Recovers the composition a plain config describes: the substrate
-    /// by preset equality (`custom` if none matches), the default
-    /// `hit-first` scheduler, and the refresh manager from the config's
-    /// master switch.
+    /// by preset equality (`custom` if none matches) and the default
+    /// `hit-first` scheduler.
     pub fn from_config(cfg: &MemoryConfig) -> Composition {
         let substrate = substrates()
             .iter()
             .find(|(_, s)| s.config() == *cfg)
             .map_or("custom", |(name, _)| name);
+        Composition {
+            substrate: substrate.to_owned(),
+            scheduler: "hit-first".to_owned(),
+        }
+    }
+
+    /// The stats document's `composition` object: the selected
+    /// substrate and scheduler, then the parts every run fixes — the
+    /// one address mapper (`interleaved`) and the refresh manager that
+    /// `cfg`'s `refresh.enabled` switch builds (`staggered`, else
+    /// `none`).
+    pub fn to_json(&self, cfg: &MemoryConfig) -> Json {
         let refresh = if cfg.refresh.enabled {
             "staggered"
         } else {
             "none"
         };
-        Composition {
-            substrate: substrate.to_owned(),
-            scheduler: "hit-first".to_owned(),
-            mapper: "interleaved".to_owned(),
-            refresh: refresh.to_owned(),
-        }
+        Json::Obj(vec![
+            ("substrate".into(), Json::from(self.substrate.as_str())),
+            ("scheduler".into(), Json::from(self.scheduler.as_str())),
+            ("mapper".into(), Json::from("interleaved")),
+            ("refresh".into(), Json::from(refresh)),
+        ])
     }
 }
 
@@ -62,8 +71,16 @@ mod tests {
             let c = Composition::from_config(&cfg);
             assert_eq!(c.substrate, name);
             assert_eq!(c.scheduler, "hit-first");
-            assert_eq!(c.mapper, "interleaved");
-            assert_eq!(c.refresh, "none", "the paper runs without refresh");
+            let doc = c.to_json(&cfg);
+            assert_eq!(
+                doc.get("mapper").and_then(Json::as_str),
+                Some("interleaved")
+            );
+            assert_eq!(
+                doc.get("refresh").and_then(Json::as_str),
+                Some("none"),
+                "the paper runs without refresh"
+            );
         }
     }
 
@@ -81,6 +98,7 @@ mod tests {
         cfg.refresh = fbd_types::config::RefreshConfig::ddr2_1gb();
         let c = Composition::from_config(&cfg);
         assert_eq!(c.scheduler, "hit-first");
-        assert_eq!(c.refresh, "staggered");
+        let doc = c.to_json(&cfg);
+        assert_eq!(doc.get("refresh").and_then(Json::as_str), Some("staggered"));
     }
 }

@@ -439,16 +439,11 @@ impl RunSpec {
             "seed={};budget={};warmup={:?}",
             self.exp.seed, self.exp.budget, self.exp.warmup
         );
-        // Composed policy names are semantic: a different scheduler,
-        // mapper or refresh manager is a different run. The substrate
-        // label is not — the system configuration above already pins
-        // everything a substrate selects.
-        let comp = self.composition();
-        let _ = write!(
-            key,
-            ";scheduler={};mapper={};refresh={}",
-            comp.scheduler, comp.mapper, comp.refresh
-        );
+        // The scheduler name is semantic: a different policy is a
+        // different run. The substrate label is not — the system
+        // configuration above already pins everything a substrate
+        // selects, refresh included.
+        let _ = write!(key, ";scheduler={}", self.composition().scheduler);
         key
     }
 

@@ -20,9 +20,8 @@ use std::collections::VecDeque;
 
 use fbd_amb::{AmbDimm, GroupFetchOutcome, ReadOutcome, WriteOutcome};
 use fbd_ctrl::{
-    mappers, refresh_managers, schedulers, AddressMapper, FillOutcome, MappedAddr, PatrolScrub,
-    PrefetchTable, QueueEntry, RefreshManager, RefreshOp, SchedClass, SchedulerPolicy,
-    TransactionQueue,
+    schedulers, FillOutcome, InterleavedMapper, MappedAddr, PatrolScrub, PrefetchTable, QueueEntry,
+    RefreshOp, SchedClass, SchedulerPolicy, StaggeredRefresh, TransactionQueue,
 };
 use fbd_dram::{AccessPlan, BankArray, ColKind, ColumnOp, DataBus};
 use fbd_faults::{FaultCounters, FaultReport, SilentErrorReport};
@@ -354,16 +353,15 @@ impl Reliability {
 /// The full memory subsystem behind the processor complex.
 pub struct MemorySystem {
     cfg: MemoryConfig,
-    mapper: Box<dyn AddressMapper>,
+    mapper: InterleavedMapper,
     queue: TransactionQueue,
     spill: VecDeque<(MemRequest, MappedAddr)>,
     /// One scheduler per logical channel (drain-mode state is
     /// per-channel).
     scheds: Vec<Box<dyn SchedulerPolicy>>,
-    /// Decides when each DIMM refreshes; `refresh_active` caches its
-    /// `is_active` so the per-decision fast path stays branch-cheap.
-    refresh_mgr: Box<dyn RefreshManager>,
-    refresh_active: bool,
+    /// Decides when each DIMM refreshes; `None` when the config's
+    /// `refresh.enabled` switch is off.
+    refresh: Option<StaggeredRefresh>,
     /// Scratch buffer reused across [`Self::run_refreshes`] calls.
     refresh_buf: Vec<RefreshOp>,
     /// Scratch buffer of schedulable candidates reused across
@@ -412,20 +410,19 @@ impl MemorySystem {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: &MemoryConfig) -> MemorySystem {
-        cfg.validate().expect("invalid memory configuration");
         MemorySystem::compose(cfg, &Composition::from_config(cfg))
-            .expect("default composition resolves")
+            .unwrap_or_else(|e| panic!("invalid memory configuration: {e}"))
     }
 
-    /// Builds the subsystem from an explicit [`Composition`]: each
-    /// named part is resolved against its registry and composed around
-    /// `cfg`. This is how string-selected policies (`--scheduler fcfs`)
-    /// reach the controller without the core naming any concrete type.
+    /// Builds the subsystem from an explicit [`Composition`]: the named
+    /// scheduler is resolved against its registry and composed around
+    /// `cfg`. This is how a string-selected policy (`--scheduler fcfs`)
+    /// reaches the controller without the core naming any concrete type.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the unresolved part (with the available
-    /// registry names) or the configuration error.
+    /// Returns the configuration error, or a message naming an unknown
+    /// scheduler with the available registry names.
     pub fn compose(cfg: &MemoryConfig, comp: &Composition) -> Result<MemorySystem, String> {
         cfg.validate().map_err(|e| e.to_string())?;
         let sched_spec = schedulers().get(&comp.scheduler).ok_or_else(|| {
@@ -433,20 +430,6 @@ impl MemorySystem {
                 "unknown scheduler `{}` (available: {})",
                 comp.scheduler,
                 schedulers().available()
-            )
-        })?;
-        let mapper_spec = mappers().get(&comp.mapper).ok_or_else(|| {
-            format!(
-                "unknown mapper `{}` (available: {})",
-                comp.mapper,
-                mappers().available()
-            )
-        })?;
-        let refresh_spec = refresh_managers().get(&comp.refresh).ok_or_else(|| {
-            format!(
-                "unknown refresh manager `{}` (available: {})",
-                comp.refresh,
-                refresh_managers().available()
             )
         })?;
         let clock = cfg.data_rate.clock_period();
@@ -485,8 +468,6 @@ impl MemorySystem {
                 Channel { path, inflight: 0 }
             })
             .collect();
-        let refresh_mgr = refresh_spec.build(cfg);
-        let refresh_active = refresh_mgr.is_active();
         let reliability = if cfg.faults.recovery_active() {
             Some(Box::new(Reliability {
                 scrub: match cfg.faults.scrub {
@@ -507,14 +488,13 @@ impl MemorySystem {
             None
         };
         Ok(MemorySystem {
-            mapper: mapper_spec.build(cfg),
+            mapper: InterleavedMapper::new(cfg),
             queue: TransactionQueue::new(cfg.queue_capacity as usize),
             spill: VecDeque::new(),
             scheds: (0..cfg.logical_channels)
                 .map(|_| sched_spec.build(cfg))
                 .collect(),
-            refresh_mgr,
-            refresh_active,
+            refresh: cfg.refresh.enabled.then(|| StaggeredRefresh::new(cfg)),
             refresh_buf: Vec::new(),
             cand_buf: Vec::new(),
             table: cfg.amb.is_enabled().then(|| PrefetchTable::new(cfg)),
@@ -852,9 +832,12 @@ impl MemorySystem {
     fn run_refreshes(&mut self, ch: u32, now: Time) {
         let ranks = self.cfg.ranks_per_dimm;
         let dimms_per_channel = self.cfg.dimms_per_channel;
+        let Some(refresh) = self.refresh.as_mut() else {
+            return;
+        };
         let mut ops = std::mem::take(&mut self.refresh_buf);
         ops.clear();
-        self.refresh_mgr.due(ch, now, &mut ops);
+        refresh.due(ch, now, &mut ops);
         let channel = &mut self.channels[ch as usize];
         for op in &ops {
             match &mut channel.path {
@@ -887,7 +870,7 @@ impl MemorySystem {
     /// whole batch in one decision so the following reads' activates
     /// overlap the write burst.
     pub fn decide_into(&mut self, ch: u32, now: Time, issued: &mut Vec<Issued>) -> Option<Time> {
-        if self.refresh_active {
+        if self.refresh.is_some() {
             self.run_refreshes(ch, now);
         }
         if self.channels[ch as usize].inflight >= MAX_INFLIGHT_PER_CHANNEL {
@@ -1585,6 +1568,23 @@ mod tests {
             LineAddr::new(line),
             at,
         )
+    }
+
+    #[test]
+    fn refresh_manager_follows_the_config_switch() {
+        let mut cfg = MemoryConfig {
+            refresh: fbd_types::config::RefreshConfig::ddr2_1gb(),
+            ..MemoryConfig::fbdimm_default()
+        };
+        assert!(MemorySystem::new(&cfg).refresh.is_some());
+        cfg.refresh.enabled = false;
+        assert!(MemorySystem::new(&cfg).refresh.is_none());
+        assert!(
+            MemorySystem::new(&MemoryConfig::fbdimm_default())
+                .refresh
+                .is_none(),
+            "the paper default keeps refresh off"
+        );
     }
 
     #[test]

@@ -163,23 +163,8 @@ impl System {
     /// Panics if the configuration is invalid or the trace count does
     /// not match the core count.
     pub fn new(cfg: &SystemConfig, traces: Vec<Box<dyn TraceSource>>, budget: u64) -> System {
-        cfg.validate().expect("invalid system configuration");
-        System {
-            cpu: CpuComplex::new(&cfg.cpu, traces, budget),
-            mem: MemorySystem::new(&cfg.mem),
-            events: EventQueue::from_env(),
-            now: Time::ZERO,
-            // Sized to the per-pump ceiling (every L2 MSHR missing at
-            // once, each with a dirty writeback, plus prefetcher
-            // suggestions) so steady state never grows them.
-            req_buf: Vec::with_capacity(cfg.cpu.l2_mshrs as usize * 2 + 64),
-            issued_buf: Vec::with_capacity(64),
-            retired: 0,
-            cpu_wake_at: Time::ZERO,
-            capture: None,
-            cpu_gauges: None,
-            host: HostHandle::off(),
-        }
+        System::composed(cfg, traces, budget, &Composition::from_config(&cfg.mem))
+            .unwrap_or_else(|e| panic!("invalid system configuration: {e}"))
     }
 
     /// Like [`new`](Self::new), but composes the memory subsystem from
@@ -199,7 +184,7 @@ impl System {
         budget: u64,
         comp: &Composition,
     ) -> Result<System, String> {
-        cfg.validate().map_err(|e| e.to_string())?;
+        cfg.cpu.validate().map_err(|e| e.to_string())?;
         let mem = MemorySystem::compose(&cfg.mem, comp)?;
         Ok(System {
             cpu: CpuComplex::new(&cfg.cpu, traces, budget),
@@ -261,23 +246,10 @@ impl System {
         ));
     }
 
-    /// Like [`new`](Self::new), but first fast-forwards each trace
-    /// through the L2 for `warmup_ops` operations per core so capacity
-    /// evictions (writeback traffic) are present from the start.
-    pub fn with_warmup(
-        cfg: &SystemConfig,
-        traces: Vec<Box<dyn TraceSource>>,
-        budget: u64,
-        warmup_ops: u64,
-    ) -> System {
-        let mut sys = System::new(cfg, traces, budget);
-        sys.cpu.warm_l2(warmup_ops);
-        sys
-    }
-
-    /// Fast-forwards the traces through the L2 for `ops_per_core`
-    /// operations (see [`Self::with_warmup`]); usable on an already
-    /// constructed system before `run`.
+    /// Fast-forwards each trace through the L2 for `ops_per_core`
+    /// operations, so capacity evictions (writeback traffic) are
+    /// present from the start; call it on a constructed system before
+    /// `run`.
     pub fn warm(&mut self, ops_per_core: u64) {
         self.cpu.warm_l2(ops_per_core);
     }

@@ -2,15 +2,14 @@
 //! scheduling policies, refresh management, and the prefetch
 //! information table.
 //!
-//! The controller is technology-agnostic policy behind pluggable
-//! interfaces: it decodes addresses ([`AddressMapper`], default
-//! [`InterleavedMapper`]), buffers transactions ([`TransactionQueue`]),
-//! reorders them ([`SchedulerPolicy`], default [`HitFirstScheduler`]),
-//! times refreshes ([`RefreshManager`]) and — when AMB prefetching is
-//! enabled — tracks every AMB cache's content ([`PrefetchTable`]) so
-//! hits are known before any channel command is sent. Implementations
-//! are published by name through the [`schedulers`], [`mappers`] and
-//! [`refresh_managers`] registries; the datapath (links, AMBs, DRAM
+//! The controller is technology-agnostic policy: it decodes addresses
+//! ([`InterleavedMapper`]), buffers transactions
+//! ([`TransactionQueue`]), reorders them ([`SchedulerPolicy`], default
+//! [`HitFirstScheduler`]), times refreshes ([`StaggeredRefresh`]) and —
+//! when AMB prefetching is enabled — tracks every AMB cache's content
+//! ([`PrefetchTable`]) so hits are known before any channel command is
+//! sent. The scheduling policy is the one part a run selects by name,
+//! through the [`schedulers`] registry; the datapath (links, AMBs, DRAM
 //! devices) lives in the sibling crates and is wired together by
 //! `fbd-core`.
 //!
@@ -19,7 +18,7 @@
 //! Decode a line under the paper's 4-cacheline interleaving:
 //!
 //! ```
-//! use fbd_ctrl::{AddressMapper, InterleavedMapper};
+//! use fbd_ctrl::InterleavedMapper;
 //! use fbd_types::config::MemoryConfig;
 //! use fbd_types::LineAddr;
 //!
@@ -53,16 +52,13 @@ pub mod refresh;
 pub mod sched;
 pub mod scrub;
 
-pub use compose::{mappers, refresh_managers, schedulers};
+pub use compose::schedulers;
 pub use fcfs::{FcfsScheduler, FcfsSpec};
 pub use info_table::{FillOutcome, PrefetchTable};
-pub use mapping::{AddressMapper, InterleavedMapper, InterleavedSpec, MappedAddr, MapperSpec};
+pub use mapping::{InterleavedMapper, MappedAddr};
 pub use queue::{QueueEntry, TransactionQueue};
 pub use recovery::{droppable, northbound_action, CrcAction};
-pub use refresh::{
-    NoRefresh, NoRefreshSpec, RefreshManager, RefreshOp, RefreshSpec, StaggeredRefresh,
-    StaggeredSpec,
-};
+pub use refresh::{RefreshOp, StaggeredRefresh};
 pub use sched::{HitFirstScheduler, HitFirstSpec, SchedClass, SchedulerPolicy, SchedulerSpec};
 pub use scrub::PatrolScrub;
 

@@ -1,16 +1,12 @@
-//! Pluggable refresh management.
+//! Refresh timing.
 //!
-//! The controller delegates *when* each DIMM refreshes to a
-//! [`RefreshManager`]; the memory system owns *what happens* (occupying
-//! the banks for tRFC and charging the power model). The manager emits
+//! [`StaggeredRefresh`] decides *when* each DIMM refreshes; the memory
+//! system owns *what happens* (occupying the banks for tRFC and
+//! charging the power model) and builds the manager only when the
+//! config's `refresh.enabled` switch is set. The manager emits
 //! [`RefreshOp`]s for every deadline at or before `now`, in a
 //! deterministic order, so the timing outcome is identical to an
 //! inlined deadline loop.
-//!
-//! Two managers ship by default (see [`crate::refresh_managers`]):
-//! `staggered` — the paper-default policy that offsets each DIMM's
-//! deadline by `tREFI / n` so the subsystem never refreshes all at once
-//! — and `none` for refresh-free ablations.
 
 use fbd_types::config::MemoryConfig;
 use fbd_types::time::{Dur, Time};
@@ -25,34 +21,6 @@ pub struct RefreshOp {
     pub at: Time,
     /// How long every rank of the DIMM stays busy.
     pub t_rfc: Dur,
-}
-
-/// Decides when each DIMM of each channel refreshes.
-pub trait RefreshManager: Send + std::fmt::Debug {
-    /// Whether this manager ever emits refreshes. The controller skips
-    /// the per-decision call entirely when this is `false`.
-    fn is_active(&self) -> bool;
-
-    /// Appends to `out` every refresh on channel `ch` whose deadline is
-    /// at or before `now`, advancing the internal deadlines. Ops are
-    /// emitted DIMM by DIMM, oldest deadline first within a DIMM.
-    ///
-    /// Contract: a second call with the same `ch` and `now` appends
-    /// nothing (the first drained every deadline at or before `now`).
-    /// The controller relies on it when it folds a decision's idle
-    /// same-instant reruns instead of executing them (DESIGN.md §16).
-    fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>);
-}
-
-/// Refresh disabled (ablation mode).
-#[derive(Clone, Copy, Debug)]
-pub struct NoRefresh;
-
-impl RefreshManager for NoRefresh {
-    fn is_active(&self) -> bool {
-        false
-    }
-    fn due(&mut self, _ch: u32, _now: Time, _out: &mut Vec<RefreshOp>) {}
 }
 
 /// Per-DIMM deadlines staggered across the channel: DIMM `i` first
@@ -80,13 +48,16 @@ impl StaggeredRefresh {
             deadlines: vec![per_channel; cfg.logical_channels as usize],
         }
     }
-}
 
-impl RefreshManager for StaggeredRefresh {
-    fn is_active(&self) -> bool {
-        true
-    }
-    fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>) {
+    /// Appends to `out` every refresh on channel `ch` whose deadline is
+    /// at or before `now`, advancing the internal deadlines. Ops are
+    /// emitted DIMM by DIMM, oldest deadline first within a DIMM.
+    ///
+    /// Contract: a second call with the same `ch` and `now` appends
+    /// nothing (the first drained every deadline at or before `now`).
+    /// The controller relies on it when it folds a decision's idle
+    /// same-instant reruns instead of executing them (DESIGN.md §16).
+    pub fn due(&mut self, ch: u32, now: Time, out: &mut Vec<RefreshOp>) {
         for (dimm, due) in self.deadlines[ch as usize].iter_mut().enumerate() {
             while *due <= now {
                 out.push(RefreshOp {
@@ -97,55 +68,6 @@ impl RefreshManager for StaggeredRefresh {
                 *due += self.t_refi;
             }
         }
-    }
-}
-
-/// A named, registerable [`RefreshManager`] factory (see
-/// [`crate::refresh_managers`] for the registry).
-pub trait RefreshSpec: Send + Sync + std::fmt::Debug {
-    /// Stable registry name (e.g. `staggered`).
-    fn name(&self) -> &'static str;
-    /// One-line human description for listings.
-    fn description(&self) -> &'static str;
-    /// Builds the manager for `cfg`.
-    fn build(&self, cfg: &MemoryConfig) -> Box<dyn RefreshManager>;
-}
-
-/// Registry entry for [`StaggeredRefresh`].
-#[derive(Debug)]
-pub struct StaggeredSpec;
-
-impl RefreshSpec for StaggeredSpec {
-    fn name(&self) -> &'static str {
-        "staggered"
-    }
-    fn description(&self) -> &'static str {
-        "per-DIMM deadlines offset by tREFI/n (paper default)"
-    }
-    fn build(&self, cfg: &MemoryConfig) -> Box<dyn RefreshManager> {
-        // Honour the config's master switch: composing `staggered` onto
-        // a refresh-disabled config must not invent refreshes.
-        if cfg.refresh.enabled {
-            Box::new(StaggeredRefresh::new(cfg))
-        } else {
-            Box::new(NoRefresh)
-        }
-    }
-}
-
-/// Registry entry for [`NoRefresh`].
-#[derive(Debug)]
-pub struct NoRefreshSpec;
-
-impl RefreshSpec for NoRefreshSpec {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn description(&self) -> &'static str {
-        "refresh disabled (ablation)"
-    }
-    fn build(&self, _cfg: &MemoryConfig) -> Box<dyn RefreshManager> {
-        Box::new(NoRefresh)
     }
 }
 
@@ -231,23 +153,5 @@ mod tests {
                 }
             }
         }
-        // The disabled manager trivially keeps the contract too.
-        NoRefresh.due(0, now, &mut ops);
-        assert!(ops.is_empty());
-    }
-
-    #[test]
-    fn staggered_spec_respects_the_disabled_switch() {
-        let mut c = cfg();
-        assert!(StaggeredSpec.build(&c).is_active());
-        c.refresh.enabled = false;
-        assert!(!StaggeredSpec.build(&c).is_active());
-        assert!(
-            !StaggeredSpec
-                .build(&MemoryConfig::fbdimm_default())
-                .is_active(),
-            "the paper default keeps refresh off"
-        );
-        assert!(!NoRefreshSpec.build(&cfg()).is_active());
     }
 }

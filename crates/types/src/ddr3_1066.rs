@@ -1,15 +1,11 @@
-//! The DDR3-1066 substrate — the worked example of adding a substrate
-//! in one file (DESIGN.md §14).
+//! The DDR3-1066 timing table — the worked example of adding a
+//! substrate (DESIGN.md §14): this constructor plus one row of the
+//! preset table in [`crate::substrate`].
 //!
-//! Everything the new substrate needs lives here: the timing table
-//! (clock-aligned to the 1.875 ns DDR3-1066 device clock), its
-//! [`TimingSpec`] and the [`Substrate`] preset composing it onto the
-//! FB-DIMM channel. The only lines outside this file are the two
-//! `register` calls in [`crate::substrate`].
+//! The table is clock-aligned to the 1.875 ns DDR3-1066 device clock.
 
-use crate::config::{DramTimings, MemoryConfig};
-use crate::substrate::{Substrate, TimingSpec};
-use crate::time::{DataRate, Dur};
+use crate::config::DramTimings;
+use crate::time::Dur;
 
 impl DramTimings {
     /// Representative DDR3-1066 (CL7) timings. Every value is a
@@ -31,52 +27,11 @@ impl DramTimings {
     }
 }
 
-/// DDR3-1066 CL7 timing spec.
-#[derive(Debug)]
-pub struct Ddr3_1066Timing;
-
-impl TimingSpec for Ddr3_1066Timing {
-    fn name(&self) -> &'static str {
-        "ddr3-1066"
-    }
-    fn description(&self) -> &'static str {
-        "DDR3-1066 CL7, 1.875 ns clock"
-    }
-    fn data_rate(&self) -> DataRate {
-        DataRate::MTS1066
-    }
-    fn timings(&self) -> DramTimings {
-        DramTimings::ddr3_1066()
-    }
-}
-
-/// FB-DIMM carrying DDR3-1066 devices: the paper's default geometry at
-/// the intermediate DDR3 speed grade.
-#[derive(Debug)]
-pub struct Ddr3_1066Substrate;
-
-impl Substrate for Ddr3_1066Substrate {
-    fn name(&self) -> &'static str {
-        "ddr3-1066"
-    }
-    fn description(&self) -> &'static str {
-        "FB-DIMM carrying DDR3-1066 devices"
-    }
-    fn timing_spec(&self) -> &'static str {
-        "ddr3-1066"
-    }
-    fn config(&self) -> MemoryConfig {
-        MemoryConfig {
-            data_rate: DataRate::MTS1066,
-            timings: DramTimings::ddr3_1066(),
-            ..MemoryConfig::fbdimm_default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::substrates;
+    use crate::time::DataRate;
 
     #[test]
     fn ddr3_1066_timings_validate_and_align_to_the_clock() {
@@ -106,7 +61,7 @@ mod tests {
 
     #[test]
     fn substrate_composes_the_1066_table_onto_fbdimm() {
-        let cfg = Ddr3_1066Substrate.config();
+        let cfg = substrates().get("ddr3-1066").expect("registered").config();
         cfg.validate().expect("preset must validate");
         assert!(cfg.tech.is_fbdimm());
         assert_eq!(cfg.data_rate, DataRate::MTS1066);

@@ -1,13 +1,11 @@
-//! A minimal name-keyed component registry.
+//! A minimal name-keyed table.
 //!
-//! Every composable interface in the workspace — timing specs and
-//! substrates here in `fbd-types`, scheduler/mapper/refresh-manager
-//! specs in `fbd-ctrl` — is published through a [`Registry`] so a
-//! component can be selected by its stable string name at `RunSpec`
-//! build time (DESIGN.md §14). Registries are built once behind a
-//! `OnceLock` and hold `&'static` trait objects, so lookup is
-//! allocation-free and a registered component lives for the whole
-//! process.
+//! Registries exist only where a name selects behaviour (DESIGN.md
+//! §14): the substrate presets here in `fbd-types` and the scheduling
+//! policies in `fbd-ctrl`, each selected by its stable string name at
+//! `RunSpec` build time. Registries are built once behind a `OnceLock`
+//! and hold `&'static` entries, so lookup is allocation-free and an
+//! entry lives for the whole process.
 //!
 //! # Examples
 //!
@@ -21,9 +19,9 @@
 //! assert_eq!(r.available(), "hello");
 //! ```
 
-/// An ordered name → component table. `T` is typically a trait object
-/// type (`dyn TimingSpec`, `dyn SchedulerSpec`, …); entries keep their
-/// registration order so listings are stable.
+/// An ordered name → entry table (`Substrate` rows, `dyn
+/// SchedulerSpec` factories); entries keep their registration order so
+/// listings are stable.
 #[derive(Debug)]
 pub struct Registry<T: ?Sized + 'static> {
     kind: &'static str,

@@ -2,17 +2,14 @@
 //! validation, and the shape of the `--stats-json`/`--json` exporters
 //! on `run`, `compare` and `sweep`.
 
+#[path = "support/mod.rs"]
+mod support;
+
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::Output;
 
 use fbd_telemetry::{json, Json};
-
-fn fbdsim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fbdsim"))
-        .args(args)
-        .output()
-        .expect("fbdsim runs")
-}
+use support::{fbdsim, strip_host};
 
 fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("no signal")
@@ -43,26 +40,41 @@ fn assert_energy_consistent(doc: &Json) {
 
 #[test]
 fn list_substrates_prints_every_registry_entry() {
+    // Every preset in table order, with its timing spec and key
+    // parameters, pinned to the exact text.
     let out = fbdsim(&["list-substrates"]);
     assert_eq!(exit_code(&out), 0);
-    let text = String::from_utf8(out.stdout).expect("utf-8 listing");
-    for name in ["ddr2", "fbd", "fbd-ap", "fbd-apfl", "fbd-ddr3", "ddr3-1066"] {
-        assert!(text.contains(name), "listing must name `{name}`:\n{text}");
-    }
-    // Each entry carries its timing spec and key parameters.
-    assert!(text.contains("ddr2-667"), "{text}");
-    assert!(text.contains("MT/s"), "{text}");
-    assert!(text.contains("tCL"), "{text}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), LIST_SUBSTRATES);
 }
 
 #[test]
 fn list_schedulers_prints_every_registry_entry() {
     let out = fbdsim(&["list-schedulers"]);
     assert_eq!(exit_code(&out), 0);
-    let text = String::from_utf8(out.stdout).expect("utf-8 listing");
-    assert!(text.contains("hit-first"), "{text}");
-    assert!(text.contains("fcfs"), "{text}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), LIST_SCHEDULERS);
 }
+
+const LIST_SUBSTRATES: &str = "\
+substrates (select with --substrate or its alias --system):
+  ddr2       conventional DDR2-667 shared-bus baseline
+             ddr2-667 @ 667 MT/s, tCL 15.00 / tRCD 15.00 / tRP 15.00 ns, 2 channel(s) x 4 DIMM(s)
+  fbd        FB-DIMM/DDR2-667, AMB prefetching off
+             ddr2-667 @ 667 MT/s, tCL 15.00 / tRCD 15.00 / tRP 15.00 ns, 2 channel(s) x 4 DIMM(s)
+  fbd-ap     FB-DIMM/DDR2-667 with AMB prefetching (K=4)
+             ddr2-667 @ 667 MT/s, tCL 15.00 / tRCD 15.00 / tRP 15.00 ns, 2 channel(s) x 4 DIMM(s)
+  fbd-apfl   FB-DIMM AMB prefetching, full-latency ablation
+             ddr2-667 @ 667 MT/s, tCL 15.00 / tRCD 15.00 / tRP 15.00 ns, 2 channel(s) x 4 DIMM(s)
+  fbd-ddr3   FB-DIMM carrying DDR3-1333 devices
+             ddr3-1333 @ 1333 MT/s, tCL 13.50 / tRCD 13.50 / tRP 13.50 ns, 2 channel(s) x 4 DIMM(s)
+  ddr3-1066  FB-DIMM carrying DDR3-1066 devices
+             ddr3-1066 @ 1067 MT/s, tCL 13.12 / tRCD 13.12 / tRP 13.12 ns, 2 channel(s) x 4 DIMM(s)
+";
+
+const LIST_SCHEDULERS: &str = "\
+schedulers (select with --scheduler on run/compare/sweep):
+  hit-first  hit-first with read priority and write-drain threshold (paper §4.1)
+  fcfs       first-come-first-served in arrival order (ignores row/AMB state)
+";
 
 #[test]
 fn compare_accepts_a_substrate_list_and_rejects_unknown_names() {
@@ -547,27 +559,6 @@ fn compare_stats_json_carries_session_and_per_point_host_objects() {
     for p in points {
         assert_host_observability(p);
     }
-}
-
-/// Removes every `host` object (top-level and per-point) and
-/// re-serializes, so byte-identity can be asserted across runs whose
-/// wall-clock timings legitimately differ.
-fn strip_host(text: &str) -> String {
-    fn strip(j: &mut Json) {
-        match j {
-            Json::Obj(fields) => {
-                fields.retain(|(k, _)| k != "host");
-                for (_, v) in fields.iter_mut() {
-                    strip(v);
-                }
-            }
-            Json::Arr(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let mut doc = json::parse(text.trim()).expect("well-formed stats JSON");
-    strip(&mut doc);
-    doc.to_json_pretty(2)
 }
 
 #[test]

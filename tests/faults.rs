@@ -11,8 +11,10 @@
 //! exhaustion must fail the direction over to degraded width without
 //! breaking attribution.
 
+#[path = "support/mod.rs"]
+mod support;
+
 use std::path::PathBuf;
-use std::process::{Command, Output};
 
 use fbd_core::{RunResult, RunSpec};
 use fbd_faults::{FaultCounters, FaultReport, SilentErrorReport};
@@ -21,6 +23,7 @@ use fbd_types::config::{FaultConfig, FaultMode, ScrubPolicyKind};
 use fbd_types::request::{Stage, REQ_CLASSES};
 use fbd_types::substrate::substrates;
 use fbd_types::time::Dur;
+use support::{fbdsim, strip_host};
 
 const BUDGET: u64 = 20_000;
 
@@ -283,37 +286,8 @@ fn fault_report_merge_is_order_independent() {
 // Binary-level determinism: the exported stats JSON is the contract.
 // ---------------------------------------------------------------------
 
-fn fbdsim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fbdsim"))
-        .args(args)
-        .output()
-        .expect("fbdsim runs")
-}
-
 fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fbdsim-faults-{}-{name}", std::process::id()))
-}
-
-/// Removes every `host` object (top-level and per-point) and
-/// re-serializes: host wall-clock timings legitimately differ between
-/// two invocations of the same deterministic run, so byte-identity is
-/// asserted on everything else.
-fn strip_host(text: &str) -> String {
-    fn strip(j: &mut Json) {
-        match j {
-            Json::Obj(fields) => {
-                fields.retain(|(k, _)| k != "host");
-                for (_, v) in fields.iter_mut() {
-                    strip(v);
-                }
-            }
-            Json::Arr(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let mut doc = json::parse(text).expect("well-formed stats JSON");
-    strip(&mut doc);
-    doc.to_json_pretty(2)
 }
 
 fn run_json(extra: &[&str]) -> String {

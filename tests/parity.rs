@@ -20,6 +20,9 @@
 //! decision separately, so it is also the unfolded reference for the
 //! wheel's folding of idle reruns.
 
+#[path = "support/mod.rs"]
+mod support;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,15 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fbd_core::{RunResult, RunSpec};
 use fbd_telemetry::{json, Json};
 use fbd_types::substrate::substrates;
+use support::{fbdsim, strip_host};
 
 const BUDGET: &str = "5000";
-
-fn fbdsim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fbdsim"))
-        .args(args)
-        .output()
-        .expect("fbdsim runs")
-}
 
 fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
@@ -48,28 +45,6 @@ fn tmp_path(name: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("fbdsim-parity-{}-{seq}-{name}", std::process::id()))
-}
-
-/// Removes every `host` object (top-level and per-point) and
-/// re-serializes: the host block carries wall-clock timings that
-/// legitimately differ between two invocations of the same run, so
-/// byte-identity is asserted on everything else.
-fn strip_host(text: &str) -> String {
-    fn strip(j: &mut Json) {
-        match j {
-            Json::Obj(fields) => {
-                fields.retain(|(k, _)| k != "host");
-                for (_, v) in fields.iter_mut() {
-                    strip(v);
-                }
-            }
-            Json::Arr(items) => items.iter_mut().for_each(strip),
-            _ => {}
-        }
-    }
-    let mut doc = json::parse(text).expect("well-formed stats JSON");
-    strip(&mut doc);
-    doc.to_json_pretty(2)
 }
 
 /// Runs `fbdsim <cmd>` (`run` or `profile`) on `workload` for `budget`
